@@ -50,8 +50,6 @@ def _run(filler, size):
     with obs.measure(sample_rss=False) as measured:
         if filler == "ours":
             DummyFillEngine(FillConfig(eta=0.2)).run(layout, grid)
-        elif filler == "ours-raster":
-            DummyFillEngine(FillConfig(eta=0.2, kernel="raster")).run(layout, grid)
         elif filler == "ours-w4":
             DummyFillEngine(FillConfig(eta=0.2, workers=4)).run(layout, grid)
         elif filler == "tile-lp":
@@ -64,17 +62,13 @@ def _run(filler, size):
 
 
 @pytest.mark.parametrize("size", _SIZES)
-@pytest.mark.parametrize("filler", ["ours", "ours-raster", "ours-w4", "tile-lp", "mc"])
+@pytest.mark.parametrize("filler", ["ours", "ours-w4", "tile-lp", "mc"])
 def test_scaling(benchmark, filler, size):
     secs = benchmark.pedantic(_run, args=(filler, size), rounds=1, iterations=1)
     assert secs > 0
     if filler == "ours-w4" and ("ours", size) in _rows:
         # Window sharding must not change the output, only the clock.
         assert _rows[("ours-w4", size)][1] == _rows[("ours", size)][1]
-    if filler == "ours-raster" and ("ours", size) in _rows:
-        # The raster kernel must not change the output either (the CI
-        # kernel-parity job cmp's the actual GDSII bytes).
-        assert _rows[("ours-raster", size)][1] == _rows[("ours", size)][1]
 
 
 def test_scaling_report(benchmark, results_dir):
@@ -85,7 +79,6 @@ def test_scaling_report(benchmark, results_dir):
             Column("die", ">7d"),
             Column("windows", ">9"),
             Column("ours_s", ">12.1f", "ours"),
-            Column("ours_raster_s", ">12.1f", "ours-raster"),
             Column("ours_w4_s", ">12.1f", "ours-w4"),
             Column("tile_lp_s", ">12.1f", "tile-lp"),
             Column("mc_s", ">12.1f", "mc"),
@@ -97,7 +90,6 @@ def test_scaling_report(benchmark, results_dir):
             die=size,
             windows=f"{n}x{n}",
             ours_s=_rows[("ours", size)][0],
-            ours_raster_s=_rows[("ours-raster", size)][0],
             ours_w4_s=_rows[("ours-w4", size)][0],
             tile_lp_s=_rows[("tile-lp", size)][0],
             mc_s=_rows[("mc", size)][0],
@@ -106,16 +98,13 @@ def test_scaling_report(benchmark, results_dir):
     ours = _rows[("ours", largest)][0]
     table.note(
         f"at die {largest}: ours {ours:.1f}s "
-        f"(raster kernel: {_rows[('ours-raster', largest)][0]:.1f}s, "
-        f"workers=4: {_rows[('ours-w4', largest)][0]:.1f}s) vs "
+        f"(workers=4: {_rows[('ours-w4', largest)][0]:.1f}s) vs "
         f"tile-LP {_rows[('tile-lp', largest)][0]:.1f}s, "
         f"MC {_rows[('mc', largest)][0]:.1f}s"
     )
     table.note(
-        "ours-raster runs the numpy occupancy-grid kernel "
-        "(--kernel raster); fills are identical to the rect path "
-        "(asserted above, byte-gated in CI) and serial fill beats the "
-        "Monte Carlo baseline at every die size."
+        "ours runs the numpy occupancy-grid density kernel; serial "
+        "fill beats the Monte Carlo baseline at every die size."
     )
     table.note(
         "ours-w4 shards the windows over a 4-worker process pool; "
@@ -128,7 +117,6 @@ def test_scaling_report(benchmark, results_dir):
     assert ours <= max(
         _rows[("tile-lp", largest)][0], _rows[("mc", largest)][0]
     )
-    # The raster-kernel claim (PR 9): serial fill under the MC
-    # baseline at every die size.
+    # Serial fill under the MC baseline at every die size.
     for size in _SIZES:
-        assert _rows[("ours-raster", size)][0] <= _rows[("mc", size)][0]
+        assert _rows[("ours", size)][0] <= _rows[("mc", size)][0]

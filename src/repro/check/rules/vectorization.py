@@ -1,14 +1,13 @@
 """Vectorization rule: REP015 — density hot paths stay on the numpy kernel.
 
-PR 9 replaced the per-window Python loops of the density layer with
-the raster kernel (:mod:`repro.density.raster`): coordinate-compressed
-occupancy grids, one array pass per window-column strip.  The rect-set
-scanline path survives in ``analysis.py`` as the byte-identity oracle
-the CI ``kernel-parity`` job compares against — but any *new*
-per-window Python loop added elsewhere under ``repro/density/`` quietly
+The density layer computes every per-window quantity on the raster
+kernel (:mod:`repro.density.raster`): coordinate-compressed occupancy
+grids, one array pass per window-column strip.  The rect-set scanline
+computation lives only in the tests, as the byte-identity oracle — so
+any per-window Python loop added under ``repro/density/`` quietly
 reintroduces the O(windows) interpreter overhead the kernel removed,
-and nothing else would catch it (the parity gate only proves equality,
-not speed).
+and nothing else would catch it (the parity tests only prove
+equality, not speed).
 
 The rule flags the two shapes the migration removed:
 
@@ -18,9 +17,9 @@ The rule flags the two shapes the migration removed:
 * nested ``range(grid.cols)`` x ``range(grid.rows)`` loops that
   accumulate per-window values.
 
-The oracle module is exempt wholesale; anything else that genuinely
-needs a per-window loop (k-bounded attribution reporting, for
-instance) documents the waiver with ``# repro: noqa[REP015]``.
+Code that genuinely needs a per-window loop (k-bounded attribution
+reporting, for instance) documents the waiver with
+``# repro: noqa[REP015]``.
 """
 
 from __future__ import annotations
@@ -85,22 +84,14 @@ class PerWindowLoopRule(Rule):
 
     The raster kernel computes every per-window quantity as an array
     pass; a scalar window-by-window loop under ``repro/density/``
-    belongs either in the rect oracle (``analysis.py``, exempt) or
-    behind an explicit ``# repro: noqa[REP015]`` waiver.  Same shape
-    as REP014's one diagnostics channel: one density kernel.
+    needs an explicit ``# repro: noqa[REP015]`` waiver.  Same shape as
+    REP014's one diagnostics channel: one density kernel.
     """
 
     code = "REP015"
-    summary = "per-window Python loop in repro/density/ outside the rect oracle"
+    summary = "per-window Python loop in repro/density/"
     default_severity = Severity.WARNING
     scopes = ("repro/density/",)
-    #: the scanline rect-set path — kept as the kernel-parity oracle
-    oracle_basenames = ("analysis.py",)
-
-    def applies_to(self, ctx: ModuleContext) -> bool:
-        if not super().applies_to(ctx):
-            return False
-        return ctx.module_basename not in self.oracle_basenames
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
         for node in ast.walk(ctx.tree):
@@ -145,7 +136,7 @@ class PerWindowLoopRule(Rule):
             loop,
             "window-by-window iteration doing per-window geometry; "
             "compute the quantity as one raster pass "
-            "(repro.density.raster) or mark the oracle with noqa",
+            "(repro.density.raster) or waive it with noqa",
         )
 
     def _nested_axis_findings(

@@ -88,15 +88,6 @@ def _add_engine_args(parser: argparse.ArgumentParser) -> None:
         "shard worker and fail loudly if a worker mutates it (default: "
         "follow REPRO_SANITIZE=shard in the environment)",
     )
-    group.add_argument(
-        "--kernel",
-        choices=("rect", "raster"),
-        default="rect",
-        help="geometry/density kernel for the per-window hot paths: "
-        "'rect' (scanline rect sets, the oracle) or 'raster' "
-        "(vectorized occupancy grids + integral images); both produce "
-        "byte-identical GDSII — raster is purely faster",
-    )
 
 
 def _config_from(args: argparse.Namespace) -> "FillConfig":
@@ -108,7 +99,6 @@ def _config_from(args: argparse.Namespace) -> "FillConfig":
         workers=args.workers,
         parallel=args.parallel,
         sanitize=args.sanitize,
-        kernel=args.kernel,
         memory_budget=getattr(args, "memory_budget", None),
     )
 

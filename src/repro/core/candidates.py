@@ -421,45 +421,23 @@ def _window_candidates(
         neighbors = _neighbor_shapes(
             shared, ctx, l, window, rules.min_spacing
         )
-        if config.kernel == "raster":
-            # One occupancy raster of the neighbour metal, one batched
-            # integral-image query for every candidate's overlay.  The
-            # box sum counts multiplicity, which is exactly the
-            # per-shape intersection sum of Eqn. (8); the score
-            # arithmetic below repeats quality_score() operand for
-            # operand, so the floats (and the ranking) are identical.
-            from ..geometry import Raster
-
-            ras = Raster.from_rects(neighbors)
-            n = len(cands)
-            ov = ras.weighted_area_sums(
-                np.fromiter((c.xl for c in cands), np.int64, n),
-                np.fromiter((c.yl for c in cands), np.int64, n),
-                np.fromiter((c.xh for c in cands), np.int64, n),
-                np.fromiter((c.yh for c in cands), np.int64, n),
-            )
-            scored = [
-                (-int(o) / c.area + config.gamma * c.area / ctx.area, c)
-                for o, c in zip(ov, cands)
-            ]
-        else:
-            index: GridIndex[int] = GridIndex(
-                max(64, rules.max_fill_width + rules.min_spacing)
-            )
-            for k, s in enumerate(neighbors):
-                index.insert(s, k)
-            scored = [
-                (
-                    quality_score(
-                        c,
-                        [r for r, _ in index.query_overlapping(c)],
-                        ctx.area,
-                        config.gamma,
-                    ),
+        index: GridIndex[int] = GridIndex(
+            max(64, rules.max_fill_width + rules.min_spacing)
+        )
+        for k, s in enumerate(neighbors):
+            index.insert(s, k)
+        scored = [
+            (
+                quality_score(
                     c,
-                )
-                for c in cands
-            ]
+                    [r for r, _ in index.query_overlapping(c)],
+                    ctx.area,
+                    config.gamma,
+                ),
+                c,
+            )
+            for c in cands
+        ]
         scored.sort(key=lambda pair: (-pair[0], pair[1]))
         # No quadrant spread here: the quality ranking itself must
         # decide (a spread would pull overlay-heavy candidates in

@@ -16,7 +16,6 @@ __all__ = ["FillConfig"]
 
 _SOLVERS = ("mcf-ssp", "mcf-simplex", "mcf-costscaling", "lp")
 _BACKENDS = ("process", "thread", "serial")
-_KERNELS = ("rect", "raster")
 
 
 @dataclass(frozen=True)
@@ -86,14 +85,6 @@ class FillConfig:
         ``REPRO_SANITIZE=shard`` in the environment; ``False`` forces
         it off.  Costs one pickle round per shard when armed, nothing
         when off.
-    kernel:
-        Geometry/density kernel for the per-window hot paths:
-        ``"rect"`` (the scanline rect-set oracle) or ``"raster"``
-        (coordinate-compressed numpy occupancy grids + integral images,
-        :mod:`repro.density.raster`).  Both produce bit-identical
-        GDSII — the raster kernel is exact, not an approximation — so
-        this is purely a speed knob; the rect path stays as the oracle
-        the CI kernel-parity gate compares against.
     memory_budget:
         Byte budget for the out-of-core streaming driver
         (:func:`repro.core.stream.stream_fill`): the die is swept in
@@ -115,7 +106,6 @@ class FillConfig:
     workers: int = 1
     parallel: str = "process"
     sanitize: Optional[bool] = None
-    kernel: str = "rect"
     memory_budget: Optional[int] = None
 
     def __post_init__(self) -> None:
@@ -139,8 +129,6 @@ class FillConfig:
             raise ValueError("workers cannot be negative (0 means one per core)")
         if self.parallel not in _BACKENDS:
             raise ValueError(f"parallel must be one of {_BACKENDS}")
-        if self.kernel not in _KERNELS:
-            raise ValueError(f"kernel must be one of {_KERNELS}")
         if self.memory_budget is not None and self.memory_budget < 1:
             raise ValueError("memory_budget must be a positive byte count")
 

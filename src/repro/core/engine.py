@@ -19,22 +19,22 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .. import obs
 from ..contracts import check_drc_params, check_rect
-from ..density.analysis import LayerDensity, analyze_layout
+from ..density.analysis import LayerDensity, analyze_layout, window_area_map
 from ..density.scoring import ScoreWeights
 from ..geometry import GridIndex
 from ..layout import Layout, WindowGrid
-from .candidates import CandidatePlan, candidate_area_maps, generate_candidates
+from .candidates import candidate_area_maps, generate_candidates
 from .config import FillConfig
 from .planner import DensityPlan, PlannerObjective, plan_targets
 from .sizing import SizingStats, size_fills
 
-__all__ = ["FillReport", "DummyFillEngine", "insert_fills"]
+__all__ = ["FillReport", "DummyFillEngine", "insert_fills", "replan_targets"]
 
 logger = logging.getLogger(__name__)
 
@@ -130,7 +130,6 @@ class DummyFillEngine:
                         workers=config.effective_workers(),
                         parallel=config.parallel,
                         sanitize=config.sanitize,
-                        kernel=config.kernel,
                     )
                 else:
                     analysis_span.annotate(reused=True)
@@ -164,8 +163,18 @@ class DummyFillEngine:
                 obs.count("engine.candidates", num_candidates)
 
             with obs.span("replanning"):
-                final_plan = self._replan(layout, grid, analysis, candidates)
-                targets = self._target_fill_areas(grid, analysis, final_plan)
+                final_plan, target_areas = replan_targets(
+                    grid,
+                    analysis,
+                    candidate_area_maps(candidates, grid, layout.layer_numbers),
+                    _existing_fill_density(layout, grid),
+                    self.objective,
+                    td_step=config.td_step,
+                )
+                targets = {
+                    (i, j): {n: float(target_areas[n][i, j]) for n in analysis}
+                    for i, j, _ in grid
+                }
 
             logger.info("generated %d candidate fills", num_candidates)
 
@@ -250,67 +259,62 @@ class DummyFillEngine:
             work_dir=work_dir,
         )
 
-    # ------------------------------------------------------------------
-    def _replan(
-        self,
-        layout: Layout,
-        grid: WindowGrid,
-        analysis: Mapping[int, LayerDensity],
-        candidates: CandidatePlan,
-    ) -> DensityPlan:
-        """Second planning round with candidate-limited upper bounds.
 
-        A window can deliver its candidates *plus* any fill already
-        committed to it — the latter matters in the window-restricted
-        (ECO) mode, where untouched windows carry their existing fill
-        and must not read as zero-capacity, which would drag the
-        re-planned target below the surrounding density.
-        """
-        from ..density.analysis import fill_density_map, window_area_map
+def _existing_fill_density(
+    layout: Layout, grid: WindowGrid
+) -> Dict[int, Union[np.ndarray, float]]:
+    """Density of the fill already committed to each layer."""
+    from ..density.analysis import fill_density_map
 
-        cand_area = candidate_area_maps(candidates, grid, layout.layer_numbers)
-        window_area = window_area_map(grid).astype(np.float64)
-        updated: Dict[int, LayerDensity] = {}
-        for n, ld in analysis.items():
-            existing = (
-                fill_density_map(layout.layer(n), grid, kernel=self.config.kernel)
-                if layout.layer(n).num_fills
-                else 0.0
-            )
-            upper = np.minimum(
-                1.0, ld.lower + existing + cand_area[n] / window_area
-            )
-            updated[n] = LayerDensity(
-                layer_number=n,
-                lower=ld.lower,
-                upper=upper,
-                fill_regions=ld.fill_regions,
-            )
-        return plan_targets(updated, self.objective, td_step=self.config.td_step)
+    return {
+        n: fill_density_map(layout.layer(n), grid) if layout.layer(n).num_fills else 0.0
+        for n in layout.layer_numbers
+    }
 
-    def _target_fill_areas(
-        self,
-        grid: WindowGrid,
-        analysis: Mapping[int, LayerDensity],
-        plan: DensityPlan,
-    ) -> Dict[WindowKey, Dict[int, float]]:
-        """dt(l)·aw of Eqn. (9b) per window: the fill area to keep.
 
-        Vectorized: one ``max(0, dt − l) · aw`` array op per layer
-        instead of a Python loop over windows × layers; the per-window
-        dict view the sizing stage consumes is built off the arrays.
-        """
-        from ..density.analysis import window_area_map
+def replan_targets(
+    grid: WindowGrid,
+    analysis: Mapping[int, LayerDensity],
+    candidate_area: Mapping[int, np.ndarray],
+    existing_fill: Mapping[int, Union[np.ndarray, float]],
+    objective: PlannerObjective,
+    *,
+    td_step: float,
+) -> Tuple[DensityPlan, Dict[int, np.ndarray]]:
+    """Second planning round with candidate-limited upper bounds.
 
-        area = window_area_map(grid)
-        per_layer = {
-            n: np.maximum(0.0, plan.target(n) - analysis[n].lower) * area
-            for n in analysis
-        }
-        out: Dict[WindowKey, Dict[int, float]] = {}
-        for i, j, _ in grid:
-            out[(i, j)] = {n: float(per_layer[n][i, j]) for n in analysis}
-        return out
+    A window can deliver its candidates (``candidate_area``, per-layer
+    area maps) *plus* any fill already committed to it
+    (``existing_fill``, per-layer density maps, or ``0.0`` for a layer
+    without fill) — the latter matters in the window-restricted (ECO)
+    mode, where untouched windows carry their existing fill and must
+    not read as zero-capacity, which would drag the re-planned target
+    below the surrounding density.
+
+    Returns the re-planned targets and, per layer, the fill area to
+    keep in each window: ``max(0, dt − l) · aw`` of Eqn. (9b), which
+    the sizing stage consumes.  Both the in-memory engine and the
+    streaming driver call this, so their plans cannot drift.
+    """
+    area = window_area_map(grid)
+    window_area = area.astype(np.float64)
+    updated: Dict[int, LayerDensity] = {}
+    for n, ld in analysis.items():
+        upper = np.minimum(
+            1.0, ld.lower + existing_fill[n] + candidate_area[n] / window_area
+        )
+        updated[n] = LayerDensity(
+            layer_number=n,
+            lower=ld.lower,
+            upper=upper,
+            fill_regions=ld.fill_regions,
+        )
+    plan = plan_targets(updated, objective, td_step=td_step)
+    targets = {
+        n: np.maximum(0.0, plan.target(n) - ld.lower) * area
+        for n, ld in analysis.items()
+    }
+    return plan, targets
 
 
 def insert_fills(

@@ -10,15 +10,22 @@ through the incremental writers (:class:`~repro.gdsii.GdsiiStreamWriter`
 / :class:`~repro.oasis.OasisStreamWriter`).
 
 Output parity is exact, not approximate: each stage reuses the
-in-memory engine's own per-window bodies
-(:func:`repro.density.analysis._analyze_window`,
-:func:`repro.core.candidates._generate_shard`,
-:func:`repro.core.sizing._size_shard`) on band-local wire indexes whose
-query answers are identical to a global index — bands carry a routing
-halo equal to the widest query reach, and band-local insertion order is
-the input order restricted to the band.  Windows are visited in grid
-order (bands are contiguous column ranges), so the streamed GDSII and
-OASIS bytes equal the in-memory path's bytes at any worker count.
+in-memory engine's own bodies on band-local wires.  Density analysis
+runs the raster kernel restricted to the band's window columns
+(:func:`repro.density.analysis.analyze_windows`, and
+:func:`repro.density.raster.raster_fill_regions` for the candidate
+sweep's fill regions); candidate generation and sizing run
+:func:`repro.core.candidates._generate_shard` and
+:func:`repro.core.sizing._size_shard` on band-local wire indexes; the
+second planning round is the engine's own
+:func:`repro.core.engine.replan_targets`.  Band-local answers equal
+global ones: bands carry a routing halo equal to the widest query
+reach (every wire within reach of a band window is in the band, and
+the raster passes only ever look at one window-column strip), and
+band-local insertion order is the input order restricted to the band.
+Windows are visited in grid order (bands are contiguous column
+ranges), so the streamed GDSII and OASIS bytes equal the in-memory
+path's bytes at any worker count.
 
 The one deliberate divergence is DRC: violations are checked per band
 (owned fills against band wires), which sees every fill-to-wire pair
@@ -53,7 +60,8 @@ import numpy as np
 
 from .. import obs
 from ..contracts import check_density, check_drc_params, check_rect
-from ..density.analysis import LayerDensity, _analyze_window, window_area_map
+from ..density.analysis import LayerDensity, analyze_windows, window_area_map
+from ..density.raster import raster_fill_regions
 from ..density.scoring import ScoreWeights
 from ..gdsii import (
     DIE_LAYER,
@@ -76,6 +84,7 @@ from ..netflow import release_solver_caches
 from ..oasis import OasisStreamWriter
 from .candidates import _SharedState, _WindowTask, _generate_shard
 from .config import FillConfig
+from .engine import replan_targets
 from .planner import DensityPlan, PlannerObjective, plan_targets
 from .sizing import SizingStats, _SharedSizing, _SizingTask, _size_shard
 
@@ -461,19 +470,15 @@ def _stream_fill(
                 for n in numbers
             }
             for band in range(plan.num_bands):
-                indexes = _band_indexes(
-                    _band_wires(wires_spill, band, numbers), die
-                )
-                for i in plan.columns(band):
-                    for j in range(grid.rows):
-                        win = grid.window(i, j)
-                        win_area = grid.window_area(i, j)
-                        for n in numbers:
-                            lo, up, _ = _analyze_window(
-                                indexes[n], win, win_area, rules, margin
-                            )
-                            lower[n][i, j] = lo
-                            upper[n][i, j] = up
+                band_wires = _band_wires(wires_spill, band, numbers)
+                cols = plan.columns(band)
+                keys = list(_band_window_keys(plan, band, None))
+                for n in numbers:
+                    lo, up, _ = analyze_windows(
+                        band_wires[n], grid, rules, margin, keys
+                    )
+                    lower[n][cols.start : cols.stop] = lo[cols.start : cols.stop]
+                    upper[n][cols.start : cols.stop] = up[cols.start : cols.stop]
             for n in numbers:
                 check_density(
                     lower[n], name=f"layer {n} lower density l(i,j)"
@@ -504,41 +509,32 @@ def _stream_fill(
             cand_paths: List[str] = []
             windows_selected = 0
             for band in range(plan.num_bands):
-                indexes = _band_indexes(
-                    _band_wires(wires_spill, band, numbers), die
-                )
+                band_wires = _band_wires(wires_spill, band, numbers)
                 shared = _SharedState(
                     rules=rules,
                     config=config,
                     numbers=numbers,
                     num_layers=num_layers,
-                    wire_indexes=indexes,
+                    wire_indexes=_band_indexes(band_wires, die),
                 )
-                tasks: List[_WindowTask] = []
-                for i, j in _band_window_keys(plan, band, affected):
-                    win = grid.window(i, j)
-                    win_area = grid.window_area(i, j)
-                    regions: Dict[int, List[Rect]] = {}
-                    for n in numbers:
-                        _, _, region = _analyze_window(
-                            indexes[n], win, win_area, rules, margin
-                        )
-                        regions[n] = region
-                    tasks.append(
-                        _WindowTask(
-                            key=(i, j),
-                            window=win,
-                            area=win_area,
-                            regions=regions,
-                            wire_density={
-                                n: float(lower[n][i, j]) for n in numbers
-                            },
-                            targets={
-                                n: float(initial_plan.target(n)[i, j])
-                                for n in numbers
-                            },
-                        )
+                keys = list(_band_window_keys(plan, band, affected))
+                band_regions = {
+                    n: raster_fill_regions(band_wires[n], grid, rules, margin, keys)
+                    for n in numbers
+                }
+                tasks = [
+                    _WindowTask(
+                        key=(i, j),
+                        window=grid.window(i, j),
+                        area=grid.window_area(i, j),
+                        regions={n: band_regions[n][(i, j)] for n in numbers},
+                        wire_density={n: float(lower[n][i, j]) for n in numbers},
+                        targets={
+                            n: float(initial_plan.target(n)[i, j]) for n in numbers
+                        },
                     )
+                    for i, j in keys
+                ]
                 windows_selected += len(tasks)
                 if workers == 1 or len(tasks) <= 1:
                     pairs = _generate_shard(shared, tasks)
@@ -576,33 +572,21 @@ def _stream_fill(
             obs.count("engine.candidates", num_candidates)
 
         # --------------------------------------------------------------
-        # Replanning — candidate-limited upper bounds, as _replan does:
-        # kept fill counts as deliverable density in untouched windows.
+        # Replanning — the engine's second planning round; kept fill
+        # counts as deliverable density in untouched windows.
         with obs.span("replanning"):
-            warea_int = window_area_map(grid)
-            warea = warea_int.astype(np.float64)
-            updated: Dict[int, LayerDensity] = {}
-            for n, ld in analysis.items():
-                existing = (
-                    kept_area[n] / warea_int if kept_counts[n] else 0.0
-                )
-                up = np.minimum(
-                    1.0, ld.lower + existing + cand_area[n] / warea
-                )
-                updated[n] = LayerDensity(
-                    layer_number=n,
-                    lower=ld.lower,
-                    upper=up,
-                    fill_regions=ld.fill_regions,
-                )
-            final_plan = plan_targets(
-                updated, objective, td_step=config.td_step
+            warea = window_area_map(grid)
+            final_plan, per_layer_target = replan_targets(
+                grid,
+                analysis,
+                cand_area,
+                {
+                    n: kept_area[n] / warea if kept_counts[n] else 0.0
+                    for n in numbers
+                },
+                objective,
+                td_step=config.td_step,
             )
-            per_layer_target = {
-                n: np.maximum(0.0, final_plan.target(n) - analysis[n].lower)
-                * warea_int
-                for n in numbers
-            }
 
         # --------------------------------------------------------------
         # Sweep C — sizing per band; new fills spill per band per layer

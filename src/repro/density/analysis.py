@@ -19,8 +19,9 @@ import numpy as np
 
 from .. import obs
 from ..contracts import check_density
-from ..geometry import GridIndex, Rect, RectSet, rect_set_subtract
+from ..geometry import Rect
 from ..layout import DrcRules, Layer, Layout, WindowGrid
+from .raster import clipped_area_map, raster_area_map, raster_fill_regions, raster_overlay_map
 
 __all__ = [
     "window_area_map",
@@ -30,6 +31,7 @@ __all__ = [
     "compute_fill_regions",
     "usable_fill_area",
     "LayerDensity",
+    "analyze_windows",
     "analyze_layer",
     "analyze_layout",
     "refresh_analysis",
@@ -38,62 +40,27 @@ __all__ = [
     "fill_overlay_area",
 ]
 
-
-def _shape_index(shapes: Sequence[Rect], die: Rect) -> GridIndex[int]:
-    cell = max(64, min(die.width, die.height) // 16)
-    index: GridIndex[int] = GridIndex(cell)
-    for k, s in enumerate(shapes):
-        index.insert(s, k)
-    return index
+WindowKey = Tuple[int, int]
 
 
-def _area_map(shapes: Sequence[Rect], grid: WindowGrid, *, exact_union: bool) -> np.ndarray:
-    """Per-window covered area of ``shapes``.
-
-    ``exact_union=True`` de-duplicates overlapping shapes (needed for
-    wires, which may overlap at connections); fills are disjoint by
-    construction so a plain clipped sum suffices.
-    """
-    areas = np.zeros((grid.cols, grid.rows), dtype=np.int64)
-    index = _shape_index(shapes, grid.die)
-    for i, j, win in grid:
-        hits = index.query_overlapping(win)
-        if not hits:
-            continue
-        if exact_union:
-            clipped = [r.intersection(win) for r, _ in hits]
-            areas[i, j] = RectSet(c for c in clipped if c is not None).area
-        else:
-            areas[i, j] = sum(r.intersection_area(win) for r, _ in hits)
-    return areas
-
-
-def _kernel_area_map(
-    shapes: Sequence[Rect], grid: WindowGrid, *, exact_union: bool, kernel: str
-) -> np.ndarray:
-    if kernel == "raster":
-        from .raster import raster_area_map
-
-        return raster_area_map(shapes, grid, exact_union=exact_union)
-    return _area_map(shapes, grid, exact_union=exact_union)
-
-
-def wire_density_map(layer: Layer, grid: WindowGrid, *, kernel: str = "rect") -> np.ndarray:
+def wire_density_map(layer: Layer, grid: WindowGrid) -> np.ndarray:
     """Wire density ``d_w(i, j)`` per window — the lower bound l(i, j)."""
-    areas = _kernel_area_map(layer.wires, grid, exact_union=True, kernel=kernel)
-    return _to_density(areas, grid)
+    return _to_density(raster_area_map(layer.wires, grid), grid)
 
 
-def fill_density_map(layer: Layer, grid: WindowGrid, *, kernel: str = "rect") -> np.ndarray:
-    """Dummy-fill density per window."""
-    areas = _kernel_area_map(layer.fills, grid, exact_union=False, kernel=kernel)
-    return _to_density(areas, grid)
+def fill_density_map(layer: Layer, grid: WindowGrid) -> np.ndarray:
+    """Dummy-fill density per window.
+
+    Fills are disjoint by construction, so the clipped-area sum of
+    :func:`~repro.density.raster.clipped_area_map` is their covered
+    area.
+    """
+    return _to_density(clipped_area_map(layer.fills, grid), grid)
 
 
-def metal_density_map(layer: Layer, grid: WindowGrid, *, kernel: str = "rect") -> np.ndarray:
+def metal_density_map(layer: Layer, grid: WindowGrid) -> np.ndarray:
     """Total layout density d(i, j): wires plus fills."""
-    areas = _kernel_area_map(layer.shapes, grid, exact_union=True, kernel=kernel)
-    return _to_density(areas, grid)
+    return _to_density(raster_area_map(layer.shapes, grid), grid)
 
 
 def window_area_map(grid: WindowGrid) -> np.ndarray:
@@ -116,34 +83,20 @@ def compute_fill_regions(
     layer: Layer,
     grid: WindowGrid,
     rules: DrcRules,
-    blockages: Optional[Sequence[Rect]] = None,
     window_margin: int = 0,
-) -> Dict[Tuple[int, int], List[Rect]]:
+) -> Dict[WindowKey, List[Rect]]:
     """Feasible fill region per window: free space at legal spacing.
 
-    The fill region of a window is the window minus every wire (and
-    explicit blockage) bloated by the minimum spacing ``sm`` — exactly
-    the space where a fill may legally sit.  Returned as disjoint
-    rectangles per window.
+    The fill region of a window is the window minus every wire bloated
+    by the minimum spacing ``sm`` — exactly the space where a fill may
+    legally sit.  Returned as disjoint rectangles per window.
 
     ``window_margin`` additionally insets each window edge; the engine
     passes ``ceil(sm / 2)`` so that fills generated independently in
     adjacent windows still respect the spacing rule across the window
     boundary.
     """
-    regions: Dict[Tuple[int, int], List[Rect]] = {}
-    obstacles = list(layer.wires) + (list(blockages) if blockages else [])
-    index = _shape_index(obstacles, grid.die)
-    margin = rules.min_spacing
-    for i, j, win in grid:
-        inner = win.shrunk(window_margin) if window_margin else win
-        if inner is None:
-            regions[(i, j)] = []
-            continue
-        nearby = index.query_within(inner, margin)
-        bloated = [r.expanded(margin) for r, _ in nearby]
-        regions[(i, j)] = rect_set_subtract([inner], bloated)
-    return regions
+    return raster_fill_regions(layer.wires, grid, rules, window_margin)
 
 
 def usable_fill_area(region: Sequence[Rect], rules: DrcRules) -> int:
@@ -162,38 +115,34 @@ def usable_fill_area(region: Sequence[Rect], rules: DrcRules) -> int:
     )
 
 
-def _analyze_window(
-    index: GridIndex[int],
-    win: Rect,
-    win_area: int,
+def analyze_windows(
+    wires: Sequence[Rect],
+    grid: WindowGrid,
     rules: DrcRules,
-    window_margin: int,
-) -> Tuple[float, float, List[Rect]]:
-    """Density bounds and fill region for one window.
+    window_margin: int = 0,
+    keys: Optional[Sequence[WindowKey]] = None,
+) -> Tuple[np.ndarray, np.ndarray, Dict[WindowKey, List[Rect]]]:
+    """Density bounds and fill regions of a set of windows.
 
-    The single per-window analysis body: ``l`` (wire density), ``u``
-    (wire density plus usable free space) and the feasible fill region.
-    Both the full analysis (:func:`analyze_layer`) and the incremental
-    path (:func:`refresh_analysis`) call this, so the two cannot drift;
-    the raster kernel replaces it wholesale with array passes that
-    reproduce its results bit for bit.
+    The single analysis body: ``l`` (wire density), ``u`` (wire
+    density plus usable free space) and the feasible fill region of
+    every window in ``keys`` (all windows when ``None``), read off
+    ``wires``.  The full analysis (:func:`analyze_layer`), the
+    incremental refresh (:func:`refresh_analysis`) and the band sweeps
+    of the streaming driver all call it, so they cannot drift.  Only
+    the ``keys`` entries of the returned ``(cols, rows)`` maps are
+    meaningful; ``wires`` need only hold the shapes within spacing
+    reach of those windows (a band's halo'd wires, for instance).
     """
-    hits = index.query_overlapping(win)
-    if hits:
-        clipped = [r.intersection(win) for r, _ in hits]
-        wire_area = RectSet(c for c in clipped if c is not None).area
-    else:
-        wire_area = 0
-    lower = wire_area / win_area
-    inner = win.shrunk(window_margin) if window_margin else win
-    if inner is None:
-        region: List[Rect] = []
-    else:
-        nearby = index.query_within(inner, rules.min_spacing)
-        bloated = [r.expanded(rules.min_spacing) for r, _ in nearby]
-        region = rect_set_subtract([inner], bloated)
-    upper = min(1.0, lower + usable_fill_area(region, rules) / win_area)
-    return lower, upper, region
+    cols = None if keys is None else sorted({i for i, _ in keys})
+    aw = window_area_map(grid)
+    lower = raster_area_map(wires, grid, cols=cols) / aw
+    regions = raster_fill_regions(wires, grid, rules, window_margin, keys=keys)
+    usable = np.zeros((grid.cols, grid.rows), dtype=np.int64)
+    for (i, j), region in regions.items():
+        usable[i, j] = usable_fill_area(region, rules)
+    upper = np.minimum(1.0, lower + usable / aw)
+    return lower, upper, regions
 
 
 @dataclass
@@ -231,31 +180,9 @@ def analyze_layer(
     grid: WindowGrid,
     rules: DrcRules,
     window_margin: int = 0,
-    *,
-    kernel: str = "rect",
 ) -> LayerDensity:
-    """Run density analysis for one layer.
-
-    ``kernel`` selects the implementation: ``"rect"`` is the scanline
-    rect-set oracle (one :func:`_analyze_window` call per window),
-    ``"raster"`` the vectorized occupancy-grid kernel
-    (:mod:`repro.density.raster`) whose output is bit-identical.
-    """
-    if kernel == "raster":
-        from .raster import raster_analyze_layer
-
-        return raster_analyze_layer(layer, grid, rules, window_margin)
-    index = _shape_index(layer.wires, grid.die)
-    lower = np.zeros((grid.cols, grid.rows), dtype=np.float64)
-    upper = np.zeros((grid.cols, grid.rows), dtype=np.float64)
-    regions: Dict[Tuple[int, int], List[Rect]] = {}
-    for i, j, win in grid:
-        lo, up, region = _analyze_window(
-            index, win, grid.window_area(i, j), rules, window_margin
-        )
-        lower[i, j] = lo
-        upper[i, j] = up
-        regions[(i, j)] = region
+    """Run density analysis for one layer."""
+    lower, upper, regions = analyze_windows(layer.wires, grid, rules, window_margin)
     check_density(lower, name=f"layer {layer.number} lower density l(i,j)")
     check_density(upper, name=f"layer {layer.number} upper density u(i,j)")
     return LayerDensity(layer.number, lower, upper, regions)
@@ -274,7 +201,6 @@ class _AnalysisShared:
     grid: WindowGrid
     rules: DrcRules
     window_margin: int
-    kernel: str = "rect"
 
 
 def _analyze_shard(
@@ -282,21 +208,15 @@ def _analyze_shard(
 ) -> List[LayerDensity]:
     """Worker entry point: density analysis over one shard of layers.
 
-    Raster state never crosses the shard boundary: with
-    ``kernel="raster"`` each worker rasterizes its own layers locally,
-    so only the plain :class:`_AnalysisShared` inputs and the resulting
+    Raster state never crosses the shard boundary: each worker
+    rasterizes its own layers locally, so only the plain
+    :class:`_AnalysisShared` inputs and the resulting
     :class:`LayerDensity` values are ever pickled.
     """
     out: List[LayerDensity] = []
     for layer in layers:
         out.append(
-            analyze_layer(
-                layer,
-                shared.grid,
-                shared.rules,
-                shared.window_margin,
-                kernel=shared.kernel,
-            )
+            analyze_layer(layer, shared.grid, shared.rules, shared.window_margin)
         )
         obs.metrics.counter("analysis.layers").inc()
     return out
@@ -310,7 +230,6 @@ def analyze_layout(
     workers: int = 1,
     parallel: str = "process",
     sanitize: Optional[bool] = None,
-    kernel: str = "rect",
 ) -> Dict[int, LayerDensity]:
     """Density analysis for every layer of a layout.
 
@@ -323,14 +242,9 @@ def analyze_layout(
     ``{layer_number: LayerDensity}`` dict is bit-identical to the
     serial run for any worker count and backend.  ``workers=0`` means
     one worker per available core.  ``sanitize`` arms the shard
-    sanitizer (see :func:`repro.parallel.run_sharded`).  ``kernel``
-    selects the per-layer implementation (see :func:`analyze_layer`);
-    both produce identical results, so it composes freely with any
-    worker count.
+    sanitizer (see :func:`repro.parallel.run_sharded`).
     """
-    shared = _AnalysisShared(
-        grid=grid, rules=layout.rules, window_margin=window_margin, kernel=kernel
-    )
+    shared = _AnalysisShared(grid=grid, rules=layout.rules, window_margin=window_margin)
     layers = list(layout.layers)
     from ..parallel import resolve_workers, run_sharded, shard_items
 
@@ -363,7 +277,6 @@ def refresh_analysis(
     *,
     layers: Optional[Sequence[int]] = None,
     window_margin: int = 0,
-    kernel: str = "rect",
 ) -> Dict[int, LayerDensity]:
     """Recompute a cached analysis for a subset of windows and layers.
 
@@ -392,25 +305,16 @@ def refresh_analysis(
         if n not in changed or not keys:
             out[n] = ld
             continue
-        layer = layout.layer(n)
+        fresh_lower, fresh_upper, fresh = analyze_windows(
+            layout.layer(n).wires, grid, rules, window_margin, keys=keys
+        )
+        ii, jj = zip(*keys)
         lower = ld.lower.copy()
         upper = ld.upper.copy()
+        lower[ii, jj] = fresh_lower[ii, jj]
+        upper[ii, jj] = fresh_upper[ii, jj]
         regions = dict(ld.fill_regions)
-        if kernel == "raster":
-            from .raster import raster_refresh_layer
-
-            raster_refresh_layer(
-                layer, grid, rules, window_margin, keys, lower, upper, regions
-            )
-        else:
-            index = _shape_index(layer.wires, grid.die)
-            for i, j in keys:
-                lo, up, region = _analyze_window(
-                    index, grid.window(i, j), grid.window_area(i, j), rules, window_margin
-                )
-                lower[i, j] = lo
-                upper[i, j] = up
-                regions[(i, j)] = region
+        regions.update(fresh)
         check_density(lower, name=f"layer {n} lower density l(i,j)")
         check_density(upper, name=f"layer {n} upper density u(i,j)")
         refreshed_layers += 1
@@ -439,9 +343,7 @@ def overlay_area(lower: Layer, upper: Layer) -> int:
     return fills_vs_wires + wires_vs_fills + fills_vs_fills
 
 
-def overlay_map(
-    lower: Layer, upper: Layer, grid: WindowGrid, *, kernel: str = "rect"
-) -> np.ndarray:
+def overlay_map(lower: Layer, upper: Layer, grid: WindowGrid) -> np.ndarray:
     """Per-window fill-induced overlay area between two adjacent layers.
 
     Splits :func:`overlay_area` over the fixed dissection: each window
@@ -452,37 +354,7 @@ def overlay_map(
     the largest cells are the ones a regressed Overlay* score points
     at.
     """
-    if kernel == "raster":
-        from .raster import raster_overlay_map
-
-        return raster_overlay_map(lower, upper, grid)
-    from ..geometry import intersection_area
-
-    pairs = (
-        (lower.fills, upper.wires),
-        (lower.wires, upper.fills),
-        (lower.fills, upper.fills),
-    )
-    out = np.zeros((grid.cols, grid.rows), dtype=np.int64)
-    for shapes_a, shapes_b in pairs:
-        if not shapes_a or not shapes_b:
-            continue
-        index_a = _shape_index(shapes_a, grid.die)
-        index_b = _shape_index(shapes_b, grid.die)
-        for i, j, win in grid:
-            hits_a = index_a.query_overlapping(win)
-            if not hits_a:
-                continue
-            hits_b = index_b.query_overlapping(win)
-            if not hits_b:
-                continue
-            clipped_a = [r.intersection(win) for r, _ in hits_a]
-            clipped_b = [r.intersection(win) for r, _ in hits_b]
-            out[i, j] += intersection_area(
-                [c for c in clipped_a if c is not None],
-                [c for c in clipped_b if c is not None],
-            )
-    return out
+    return raster_overlay_map(lower, upper, grid)
 
 
 def fill_overlay_area(layout: Layout) -> Dict[Tuple[int, int], int]:

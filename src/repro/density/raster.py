@@ -1,19 +1,18 @@
-"""Vectorized raster density kernel (``FillConfig.kernel = "raster"``).
+"""Vectorized raster density kernel: the one production density path.
 
 Array implementations of the per-window density quantities, built on
 :class:`repro.geometry.Raster` (coordinate-compressed occupancy grids +
-integral images).  Every function here is an exact, bit-identical
-replacement for its scanline counterpart in
-:mod:`repro.density.analysis` — the rect-set path stays in the tree as
-the oracle, and the CI ``kernel-parity`` job ``cmp``'s the GDSII bytes
-of both kernels on every PR.
+integral images); :mod:`repro.density.analysis` exposes them as the
+density-analysis API.  The tests keep a direct rect-set scanline
+computation of every quantity as the oracle
+(``tests/density/oracle.py``) and check bit identity against it.
 
 Why this is exact and not an approximation: the raster grid is the
 coordinate grid *induced by the shapes themselves* (plus the window cut
 lines), so every shape is a union of whole cells and all sums are
 int64.  Floats appear only in the final density divisions, which use
 the same operand values (and therefore the same IEEE-754 roundings) as
-the oracle.
+a per-window computation.
 
 Why it is fast: one die-wide pass per layer replaces thousands of
 per-window ``RectSet`` constructions.  To keep memory linear in the
@@ -25,27 +24,25 @@ results land directly in the output map's column.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..contracts import check_density
 from ..geometry import IntArray, Raster, Rect
 from ..layout import DrcRules, Layer, WindowGrid
-
-if TYPE_CHECKING:  # analysis imports this module lazily; no cycle at runtime
-    from .analysis import LayerDensity
 
 __all__ = [
     "window_cuts",
     "raster_area_map",
+    "clipped_area_map",
     "raster_fill_regions",
-    "raster_analyze_layer",
-    "raster_refresh_layer",
     "raster_overlay_map",
 ]
 
 _I64 = np.int64
+
+#: shapes per block of the separable clipped-area product
+_CHUNK = 4096
 
 
 def window_cuts(grid: WindowGrid) -> Tuple[List[int], List[int]]:
@@ -78,17 +75,14 @@ def raster_area_map(
     shapes: Sequence[Rect],
     grid: WindowGrid,
     *,
-    exact_union: bool,
     cols: Optional[Sequence[int]] = None,
 ) -> "np.ndarray":
-    """Per-window covered area of ``shapes`` — raster twin of
-    ``analysis._area_map``.
+    """Per-window covered area of ``shapes`` as an int64 map.
 
-    ``exact_union=True`` counts each point once however many shapes
-    cover it (occupancy x cell area); ``False`` sums per-shape clipped
-    areas (multiplicity x cell area).  ``cols`` restricts the work to a
-    subset of window columns (the incremental-refresh path); other
-    columns stay zero.
+    Each point counts once however many shapes cover it (occupancy x
+    cell area), so overlapping wires are not double counted.  ``cols``
+    restricts the work to a subset of window columns (the incremental
+    and band-local paths); other columns stay zero.
     """
     x_cuts, y_cuts = window_cuts(grid)
     out = np.zeros((grid.cols, grid.rows), dtype=_I64)
@@ -103,38 +97,66 @@ def raster_area_map(
         ras = Raster.from_arrays(
             x0[m], y0[m], x1[m], y1[m], extra_x=[sx0, sx1], extra_y=y_cuts
         )
-        if exact_union:
-            out[i, :] = ras.covered_window_areas([sx0, sx1], y_cuts)[0]
-        else:
-            weighted = ras.counts * ras.cell_areas()
-            out[i, :] = ras.window_sums(weighted, [sx0, sx1], y_cuts)[0]
+        out[i, :] = ras.covered_window_areas([sx0, sx1], y_cuts)[0]
     return out
 
 
+def clipped_area_map(shapes: Sequence[Rect], grid: WindowGrid) -> "np.ndarray":
+    """Per-window sum of the shapes' clipped areas, as an int64 map.
+
+    Counts multiplicity (a point under two shapes counts twice), which
+    equals the covered area for disjoint shapes such as fills.  The
+    clipped area of a rect in a window is its x-overlap with the
+    window column times its y-overlap with the window row, so the map
+    is the separable product ``ox.T @ oy`` of the (shapes x columns)
+    and (shapes x rows) overlap matrices — exact int64 arithmetic,
+    accumulated over fixed-size chunks of shapes so the transient
+    matrices stay small however many shapes there are.
+    """
+    x_cuts, y_cuts = window_cuts(grid)
+    xs = np.asarray(x_cuts, dtype=_I64)
+    ys = np.asarray(y_cuts, dtype=_I64)
+    x0, y0, x1, y1 = _coords(shapes)
+    out = np.zeros((grid.cols, grid.rows), dtype=_I64)
+    for k in range(0, len(shapes), _CHUNK):
+        part = slice(k, k + _CHUNK)
+        out += _overlaps(x0[part], x1[part], xs).T @ _overlaps(y0[part], y1[part], ys)
+    return out
+
+
+def _overlaps(lo: IntArray, hi: IntArray, cuts: IntArray) -> IntArray:
+    """(intervals x cells) overlap lengths of ``[lo, hi)`` with the cells
+    between consecutive ``cuts``."""
+    over: IntArray = np.minimum(hi[:, np.newaxis], cuts[np.newaxis, 1:])
+    over -= np.maximum(lo[:, np.newaxis], cuts[np.newaxis, :-1])
+    return np.maximum(over, 0, out=over)
+
+
 def raster_fill_regions(
-    layer: Layer,
+    wires: Sequence[Rect],
     grid: WindowGrid,
     rules: DrcRules,
     window_margin: int = 0,
     keys: Optional[Sequence[Tuple[int, int]]] = None,
 ) -> Dict[Tuple[int, int], List[Rect]]:
-    """Feasible fill region per window — raster twin of
-    ``analysis.compute_fill_regions``.
+    """Feasible fill region per window: free space at legal spacing.
 
-    Obstacles are bloated by the minimum spacing once, as coordinate
-    arithmetic; per window-column strip the bloated set is rasterized
-    with the inner-window boundaries as cut lines, and each window's
-    region is recovered from the free cells as maximal horizontal runs
-    merged vertically — exactly the canonical rect list
-    ``rect_set_subtract([inner], bloated)`` produces, in the same
-    order.  ``keys`` restricts the output to those windows.
+    The region of a window is the window (inset by ``window_margin``)
+    minus every wire bloated by the minimum spacing.  Obstacles are
+    bloated once, as coordinate arithmetic; per window-column strip
+    the bloated set is rasterized with the inner-window boundaries as
+    cut lines, and each window's region is recovered from the free
+    cells as maximal horizontal runs merged vertically — the canonical
+    disjoint rect list ``rect_set_subtract([inner], bloated)``
+    produces, in the same order.  ``keys`` restricts the output to
+    those windows; only wires within spacing reach of them matter.
     """
     margin = rules.min_spacing
     wanted: Dict[int, List[int]] = {}
     for (i, j) in (keys if keys is not None else ((i, j) for i, j, _ in grid)):
         wanted.setdefault(i, []).append(j)
     regions: Dict[Tuple[int, int], List[Rect]] = {}
-    wx0, wy0, wx1, wy1 = _coords(layer.wires)
+    wx0, wy0, wx1, wy1 = _coords(wires)
     bx0, by0 = wx0 - margin, wy0 - margin
     bx1, by1 = wx1 + margin, wy1 + margin
     for i, rows in wanted.items():
@@ -161,72 +183,8 @@ def raster_fill_regions(
     return regions
 
 
-def _usable_map(
-    regions: Dict[Tuple[int, int], List[Rect]], grid: WindowGrid, rules: DrcRules
-) -> "np.ndarray":
-    from .analysis import usable_fill_area
-
-    usable = np.zeros((grid.cols, grid.rows), dtype=_I64)
-    for (i, j), region in regions.items():
-        usable[i, j] = usable_fill_area(region, rules)
-    return usable
-
-
-def raster_analyze_layer(
-    layer: Layer, grid: WindowGrid, rules: DrcRules, window_margin: int = 0
-) -> "LayerDensity":
-    """Density analysis for one layer on the raster kernel.
-
-    Produces a :class:`~repro.density.analysis.LayerDensity` that is
-    bit-identical to ``analyze_layer(..., kernel="rect")``: the int64
-    window areas match exactly, and the density divisions use the same
-    operand values, hence the same IEEE-754 results.
-    """
-    from .analysis import LayerDensity, window_area_map
-
-    aw = window_area_map(grid)
-    lower = raster_area_map(layer.wires, grid, exact_union=True) / aw
-    regions = raster_fill_regions(layer, grid, rules, window_margin)
-    upper = np.minimum(1.0, lower + _usable_map(regions, grid, rules) / aw)
-    check_density(lower, name=f"layer {layer.number} lower density l(i,j)")
-    check_density(upper, name=f"layer {layer.number} upper density u(i,j)")
-    return LayerDensity(layer.number, lower, upper, regions)
-
-
-def raster_refresh_layer(
-    layer: Layer,
-    grid: WindowGrid,
-    rules: DrcRules,
-    window_margin: int,
-    keys: Sequence[Tuple[int, int]],
-    lower: "np.ndarray",
-    upper: "np.ndarray",
-    regions: Dict[Tuple[int, int], List[Rect]],
-) -> None:
-    """Sliced raster update of the dirtied windows, in place.
-
-    Only the window-column strips containing dirty windows are
-    rasterized, and only the dirty cells of ``lower``/``upper``/
-    ``regions`` are written — everything else carries over, which is
-    what keeps the incremental result bit-identical to a fresh global
-    analysis.
-    """
-    cols = sorted({i for i, _ in keys})
-    areas = raster_area_map(layer.wires, grid, exact_union=True, cols=cols)
-    fresh = raster_fill_regions(layer, grid, rules, window_margin, keys=keys)
-    from .analysis import usable_fill_area
-
-    for i, j in keys:
-        win_area = grid.window_area(i, j)
-        lower[i, j] = areas[i, j] / win_area
-        region = fresh[(i, j)]
-        regions[(i, j)] = region
-        upper[i, j] = min(1.0, lower[i, j] + usable_fill_area(region, rules) / win_area)
-
-
 def raster_overlay_map(lower: Layer, upper: Layer, grid: WindowGrid) -> "np.ndarray":
-    """Per-window overlay between adjacent layers — raster twin of
-    ``analysis.overlay_map``.
+    """Per-window fill-induced overlay area between adjacent layers.
 
     For each of the three fill-induced pair terms, both rect sets are
     rasterized per window-column strip onto a *shared* edge set (each

@@ -283,7 +283,6 @@ def apply_eco(
                     sorted(affected),
                     layers=changed_layers,
                     window_margin=config.effective_margin(rules.min_spacing),
-                    kernel=config.kernel,
                 )
         new_fills = 0
         if affected:

@@ -16,15 +16,12 @@ an array operation:
   at the window cut lines,
 * overlay between two rect sets via elementwise AND of occupancies on a
   shared grid,
-* arbitrary (edge-unaligned) box queries via the core + strips +
-  corners decomposition of the integral image, still exact because the
-  count is constant inside each cell,
 * canonical free-region recovery via maximal-run extraction and
   vertical merging, matching the scanline oracle's output rect list.
 
 Everything stays int64; no floating point enters until a caller divides
-by window areas, which keeps the raster path bit-compatible with the
-rect-set oracle in :mod:`repro.geometry.boolean`.
+by window areas, which keeps the raster path bit-compatible with a
+rect-set computation on :mod:`repro.geometry.boolean`.
 """
 
 from __future__ import annotations
@@ -80,30 +77,6 @@ class Raster:
         self.counts = counts
 
     @classmethod
-    def from_rects(
-        cls,
-        rects: Sequence[Rect],
-        extra_x: Sequence[int] = (),
-        extra_y: Sequence[int] = (),
-    ) -> "Raster":
-        """Rasterize ``rects`` onto their own coordinate grid.
-
-        ``extra_x``/``extra_y`` add cut lines (e.g. window boundaries)
-        so later window aggregation lands exactly on cell boundaries.
-        """
-        n = len(rects)
-        x0: IntArray = np.empty(n, dtype=_I64)
-        y0: IntArray = np.empty(n, dtype=_I64)
-        x1: IntArray = np.empty(n, dtype=_I64)
-        y1: IntArray = np.empty(n, dtype=_I64)
-        for k, r in enumerate(rects):
-            x0[k] = r.xl
-            y0[k] = r.yl
-            x1[k] = r.xh
-            y1[k] = r.yh
-        return cls.from_arrays(x0, y0, x1, y1, extra_x, extra_y)
-
-    @classmethod
     def from_arrays(
         cls,
         x0: IntArray,
@@ -133,19 +106,21 @@ class Raster:
         ys = np.unique(np.concatenate([cy0, cy1, np.asarray(list(extra_y), dtype=_I64)]))
         nx = max(0, len(xs) - 1)
         ny = max(0, len(ys) - 1)
-        counts: IntArray = np.zeros((nx, ny), dtype=_I64)
+        diff: IntArray = np.zeros((nx + 1, ny + 1), dtype=_I64)
         if nx and ny and len(cx0):
             i0 = np.searchsorted(xs, cx0)
             i1 = np.searchsorted(xs, cx1)
             j0 = np.searchsorted(ys, cy0)
             j1 = np.searchsorted(ys, cy1)
-            diff: IntArray = np.zeros((nx + 1, ny + 1), dtype=_I64)
             np.add.at(diff, (i0, j0), 1)
             np.add.at(diff, (i1, j0), -1)
             np.add.at(diff, (i0, j1), -1)
             np.add.at(diff, (i1, j1), 1)
-            counts = diff.cumsum(axis=0).cumsum(axis=1)[:nx, :ny]
-        return cls(xs, ys, counts)
+            # In place: the difference array becomes the counts, so a
+            # strip raster holds one cell-sized array, not three.
+            np.cumsum(diff, axis=0, out=diff)
+            np.cumsum(diff, axis=1, out=diff)
+        return cls(xs, ys, diff[:nx, :ny])
 
     # ------------------------------------------------------------------
     @property
@@ -184,110 +159,35 @@ class Raster:
     ) -> IntArray:
         """Block sums of a per-cell array between consecutive cut lines.
 
-        ``x_cuts``/``y_cuts`` must be existing edge coordinates (pass
-        the window boundaries to :meth:`from_rects` as ``extra_*``).
-        Returns a ``(len(x_cuts)-1, len(y_cuts)-1)`` int64 array.
+        ``x_cuts``/``y_cuts`` must be strictly increasing existing edge
+        coordinates (pass the window boundaries to :meth:`from_arrays`
+        as ``extra_*``).  Returns a ``(len(x_cuts)-1, len(y_cuts)-1)``
+        int64 array.
         """
         nwx = max(0, len(x_cuts) - 1)
         nwy = max(0, len(y_cuts) - 1)
         if self.num_cells == 0 or nwx == 0 or nwy == 0:
             return np.zeros((nwx, nwy), dtype=_I64)
-        nx, ny = values.shape
-        pref: IntArray = np.zeros((nx + 1, ny + 1), dtype=_I64)
-        pref[1:, 1:] = values.cumsum(axis=0).cumsum(axis=1)
         xi = self.cut_indices(x_cuts, axis="x")
         yj = self.cut_indices(y_cuts, axis="y")
-        block = pref[np.ix_(xi, yj)]
-        result: IntArray = block[1:, 1:] - block[:-1, 1:] - block[1:, :-1] + block[:-1, :-1]
-        return result
+        return _block_sums(_block_sums(values, xi, axis=0), yj, axis=1)
 
     def covered_window_areas(self, x_cuts: Sequence[int], y_cuts: Sequence[int]) -> IntArray:
-        """Exact union area of the rect set inside each window."""
-        if self.num_cells == 0:
-            return np.zeros((max(0, len(x_cuts) - 1), max(0, len(y_cuts) - 1)), dtype=_I64)
-        occ_area: IntArray = self.occupancy().astype(_I64) * self.cell_areas()
-        return self.window_sums(occ_area, x_cuts, y_cuts)
+        """Exact union area of the rect set inside each window.
 
-    # ------------------------------------------------------------------
-    def weighted_area_sums(
-        self, qx0: IntArray, qy0: IntArray, qx1: IntArray, qy1: IntArray
-    ) -> IntArray:
-        """``Σ counts · overlap_area`` for a batch of arbitrary boxes.
-
-        For each query box this equals ``Σ_r area(box ∩ r)`` over the
-        input rectangles — intersection *with multiplicity*, the
-        quantity the Eqn. (8) overlay term sums shape by shape.  Boxes
-        need not be aligned to raster edges; they are clipped to the
-        raster span.  The decomposition is core (whole cells, via the
-        area-weighted integral image) + partial-width column strips +
-        partial-height row strips + corner cells, all exact int64.
+        Reduced one axis at a time — covered widths per window column
+        first, then times the cell heights per window row — so the only
+        cell-sized temporary is the covered-width array.
         """
-        nq = len(qx0)
-        zero: IntArray = np.zeros(nq, dtype=_I64)
-        if self.num_cells == 0 or nq == 0:
-            return zero
-        xs, ys, c = self.xs, self.ys, self.counts
-        nx, ny = c.shape
-        x0 = np.clip(np.asarray(qx0, dtype=_I64), xs[0], xs[-1])
-        y0 = np.clip(np.asarray(qy0, dtype=_I64), ys[0], ys[-1])
-        x1 = np.clip(np.asarray(qx1, dtype=_I64), xs[0], xs[-1])
-        y1 = np.clip(np.asarray(qy1, dtype=_I64), ys[0], ys[-1])
-        valid = (x1 > x0) & (y1 > y0)
-        if not bool(valid.any()):
-            return zero
-        dx = self.cell_widths()
-        dy = self.cell_heights()
-        area_pref: IntArray = np.zeros((nx + 1, ny + 1), dtype=_I64)
-        area_pref[1:, 1:] = (c * np.outer(dx, dy)).cumsum(axis=0).cumsum(axis=1)
-        # Per-column prefix along y of c*dy, and per-row prefix along x
-        # of c*dx, for the partial strips.
-        col_pref: IntArray = np.zeros((nx, ny + 1), dtype=_I64)
-        col_pref[:, 1:] = (c * dy[np.newaxis, :]).cumsum(axis=1)
-        row_pref: IntArray = np.zeros((nx + 1, ny), dtype=_I64)
-        row_pref[1:, :] = (c * dx[:, np.newaxis]).cumsum(axis=0)
-        # Cell indices of the columns/rows containing each query edge.
-        i0 = np.clip(np.searchsorted(xs, x0, side="right") - 1, 0, nx - 1)
-        i1 = np.clip(np.searchsorted(xs, x1, side="left") - 1, 0, nx - 1)
-        j0 = np.clip(np.searchsorted(ys, y0, side="right") - 1, 0, ny - 1)
-        j1 = np.clip(np.searchsorted(ys, y1, side="left") - 1, 0, ny - 1)
-        left_part = xs[i0] < x0  # column i0 only partially covered
-        right_part = xs[i1 + 1] > x1
-        bot_part = ys[j0] < y0
-        top_part = ys[j1 + 1] > y1
-        # When the box lives in a single partial column, the left strip
-        # already spans the whole x-overlap; ditto single partial row.
-        right_act = right_part & ~((i1 == i0) & left_part)
-        top_act = top_part & ~((j1 == j0) & bot_part)
-        # Interior (whole-cell) ranges [ia, ib) x [ja, jb).
-        ia = i0 + left_part
-        ib = i1 + 1 - right_part
-        ja = j0 + bot_part
-        jb = j1 + 1 - top_part
-        core_x = ib > ia
-        core_y = jb > ja
-        core = np.where(
-            core_x & core_y,
-            area_pref[ib, jb] - area_pref[ia, jb] - area_pref[ib, ja] + area_pref[ia, ja],
-            0,
-        )
-        # Partial-column overlap widths / partial-row overlap heights.
-        ox_l = np.minimum(x1, xs[i0 + 1]) - x0
-        ox_r = x1 - np.maximum(x0, xs[i1])
-        oy_b = np.minimum(y1, ys[j0 + 1]) - y0
-        oy_t = y1 - np.maximum(y0, ys[j1])
-        left = np.where(left_part & core_y, ox_l * (col_pref[i0, jb] - col_pref[i0, ja]), 0)
-        right = np.where(right_act & core_y, ox_r * (col_pref[i1, jb] - col_pref[i1, ja]), 0)
-        bottom = np.where(bot_part & core_x, oy_b * (row_pref[ib, j0] - row_pref[ia, j0]), 0)
-        top = np.where(top_act & core_x, oy_t * (row_pref[ib, j1] - row_pref[ia, j1]), 0)
-        corners = (
-            np.where(left_part & bot_part, c[i0, j0] * ox_l * oy_b, 0)
-            + np.where(left_part & top_act, c[i0, j1] * ox_l * oy_t, 0)
-            + np.where(right_act & bot_part, c[i1, j0] * ox_r * oy_b, 0)
-            + np.where(right_act & top_act, c[i1, j1] * ox_r * oy_t, 0)
-        )
-        total = core + left + right + bottom + top + corners
-        result: IntArray = np.where(valid, total, 0).astype(_I64)
-        return result
+        nwx = max(0, len(x_cuts) - 1)
+        nwy = max(0, len(y_cuts) - 1)
+        if self.num_cells == 0 or nwx == 0 or nwy == 0:
+            return np.zeros((nwx, nwy), dtype=_I64)
+        xi = self.cut_indices(x_cuts, axis="x")
+        yj = self.cut_indices(y_cuts, axis="y")
+        widths = np.where(self.occupancy(), self.cell_widths()[:, np.newaxis], 0)
+        per_column = _block_sums(widths, xi, axis=0) * self.cell_heights()
+        return _block_sums(per_column, yj, axis=1)
 
     # ------------------------------------------------------------------
     def free_rects_in(self, i_lo: int, i_hi: int, j_lo: int, j_hi: int) -> List[Rect]:
@@ -305,18 +205,25 @@ class Raster:
         """
         free = ~self.occupancy()[i_lo:i_hi, j_lo:j_hi]
         s, e, r0, r1 = merge_mask_runs(free)
-        xs, ys = self.xs, self.ys
+        # Plain-int edge lists: rects sharing an edge share its int.
+        xs = self.xs[i_lo : i_hi + 1].tolist()
+        ys = self.ys[j_lo : j_hi + 1].tolist()
         rects = [
-            Rect(
-                int(xs[i_lo + a]),
-                int(ys[j_lo + b]),
-                int(xs[i_lo + c]),
-                int(ys[j_lo + d]),
-            )
-            for a, b, c, d in zip(s, r0, e, r1)
+            Rect(xs[a], ys[b], xs[c], ys[d])
+            for a, b, c, d in zip(s.tolist(), r0.tolist(), e.tolist(), r1.tolist())
         ]
         rects.sort()
         return rects
+
+
+def _block_sums(values: IntArray, cuts: IntArray, *, axis: int) -> IntArray:
+    """Sums of ``values`` between consecutive edge indices along ``axis``."""
+    if bool((np.diff(cuts) <= 0).any()):
+        raise ValueError("cuts must be strictly increasing")
+    lo, hi = int(cuts[0]), int(cuts[-1])
+    span = values[lo:hi] if axis == 0 else values[:, lo:hi]
+    out: IntArray = np.add.reduceat(span, cuts[:-1] - lo, axis=axis)
+    return out
 
 
 def merge_mask_runs(mask: BoolArray) -> Tuple[IntArray, IntArray, IntArray, IntArray]:

@@ -90,13 +90,6 @@ class TestFillRegions:
         )
         assert union_area(regions[(0, 0)]) == 190 * 190
 
-    def test_blockages_excluded(self):
-        layout, grid = make_layout()
-        regions = compute_fill_regions(
-            layout.layer(1), grid, RULES, blockages=[Rect(0, 0, 200, 200)]
-        )
-        assert regions[(0, 0)] == []
-
     def test_wire_from_next_window_bloats_across(self):
         layout, grid = make_layout()
         layout.layer(1).add_wire(Rect(205, 0, 300, 200))  # window (1,0)

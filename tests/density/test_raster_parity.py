@@ -1,12 +1,12 @@
-"""Raster kernel vs rect oracle: exact-equality property tests.
+"""Production density kernel vs the rect-set oracle: exact equality.
 
-The raster kernel (``FillConfig.kernel = "raster"``) promises *bit
-identity* with the rect-set scanline path, not approximation — the CI
-``kernel-parity`` job ``cmp``'s whole GDSII files, and these tests pin
-the same contract at the function level on randomized layouts:
-density maps, l/u bounds, fill regions, usable areas, overlay maps and
-the incremental refresh must all match the oracle exactly
-(``np.array_equal``, no tolerances).
+The density layer runs on the raster kernel (:mod:`repro.density.raster`)
+and promises *bit identity* with a direct per-window rect-set
+computation, not approximation.  These property tests pin that
+contract on randomized layouts against :mod:`tests.density.oracle`:
+density maps, l/u bounds, fill regions, usable areas, overlay maps,
+the incremental refresh and the band-local analysis of the streaming
+driver must all match exactly (``np.array_equal``, no tolerances).
 """
 
 import random
@@ -17,6 +17,7 @@ import pytest
 from repro.density.analysis import (
     analyze_layer,
     analyze_layout,
+    analyze_windows,
     compute_fill_regions,
     fill_density_map,
     metal_density_map,
@@ -25,14 +26,11 @@ from repro.density.analysis import (
     usable_fill_area,
     wire_density_map,
 )
-from repro.density.raster import (
-    raster_analyze_layer,
-    raster_fill_regions,
-    raster_overlay_map,
-    window_cuts,
-)
+from repro.density.raster import raster_fill_regions, raster_overlay_map, window_cuts
 from repro.geometry import Rect
-from repro.layout import DrcRules, Layout, WindowGrid
+from repro.layout import BandPlan, DrcRules, Layout, WindowGrid
+
+from . import oracle
 
 RULES = DrcRules(
     min_spacing=10, min_width=10, min_area=200, max_fill_width=100, max_fill_height=100
@@ -94,16 +92,30 @@ class TestDensityMapParity:
         layout, grid = random_layout(seed, odd=odd)
         for n in layout.layer_numbers:
             layer = layout.layer(n)
-            for fn in (wire_density_map, fill_density_map, metal_density_map):
-                rect = fn(layer, grid, kernel="rect")
-                ras = fn(layer, grid, kernel="raster")
-                assert np.array_equal(rect, ras), (fn.__name__, n)
+            cases = (
+                (wire_density_map, layer.wires, True),
+                (metal_density_map, layer.shapes, True),
+                # random fills may overlap: the fill map sums clipped
+                # areas with multiplicity, it does not take the union
+                (fill_density_map, layer.fills, False),
+            )
+            for fn, shapes, exact_union in cases:
+                expect = oracle.density_map(shapes, grid, exact_union=exact_union)
+                assert np.array_equal(fn(layer, grid), expect), (fn.__name__, n)
 
     def test_empty_layer_zero(self):
         layout, grid = random_layout(2)
         top = layout.layer(max(layout.layer_numbers))
         assert not top.wires and not top.fills
-        assert np.all(metal_density_map(top, grid, kernel="raster") == 0.0)
+        for fn in (wire_density_map, fill_density_map, metal_density_map):
+            assert np.all(fn(top, grid) == 0.0)
+
+
+def assert_same_density(got, expect):
+    assert got.layer_number == expect.layer_number
+    assert np.array_equal(got.lower, expect.lower)
+    assert np.array_equal(got.upper, expect.upper)
+    assert got.fill_regions == expect.fill_regions
 
 
 class TestAnalyzeParity:
@@ -112,26 +124,52 @@ class TestAnalyzeParity:
     def test_layer_bounds_and_regions(self, seed, margin):
         layout, grid = random_layout(seed, odd=bool(seed % 2))
         for n in layout.layer_numbers:
-            oracle = analyze_layer(
-                layout.layer(n), grid, RULES, window_margin=margin
+            layer = layout.layer(n)
+            assert_same_density(
+                analyze_layer(layer, grid, RULES, window_margin=margin),
+                oracle.analyze_layer(layer, grid, RULES, window_margin=margin),
             )
-            got = raster_analyze_layer(
-                layout.layer(n), grid, RULES, window_margin=margin
-            )
-            assert np.array_equal(oracle.lower, got.lower)
-            assert np.array_equal(oracle.upper, got.upper)
-            assert oracle.fill_regions == got.fill_regions
 
     @pytest.mark.parametrize("seed", SEEDS[:2])
-    def test_analyze_layout_kernel_switch(self, seed):
+    def test_analyze_layout_matches_oracle(self, seed):
         layout, grid = random_layout(seed)
-        rect = analyze_layout(layout, grid, window_margin=5, kernel="rect")
-        ras = analyze_layout(layout, grid, window_margin=5, kernel="raster")
-        assert sorted(rect) == sorted(ras)
-        for n in rect:
-            assert np.array_equal(rect[n].lower, ras[n].lower)
-            assert np.array_equal(rect[n].upper, ras[n].upper)
-            assert rect[n].fill_regions == ras[n].fill_regions
+        got = analyze_layout(layout, grid, window_margin=5)
+        assert sorted(got) == list(layout.layer_numbers)
+        for n in got:
+            assert_same_density(
+                got[n], oracle.analyze_layer(layout.layer(n), grid, RULES, 5)
+            )
+
+
+class TestBandLocalParity:
+    """The streaming driver analyses each band from its halo'd wires only."""
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("bands", [2, 3, 4])
+    def test_band_local_analysis_equals_global(self, seed, bands):
+        layout, grid = random_layout(seed, odd=bool(seed % 2))
+        margin = 5
+        # The driver's halo: the widest query reach of any stage, at
+        # least the spacing reach the fill regions need.
+        halo = RULES.min_spacing + 3
+        plan = BandPlan(grid, bands)
+        for n in layout.layer_numbers:
+            wires = layout.layer(n).wires
+            full = analyze_layer(layout.layer(n), grid, RULES, margin)
+            for band in range(plan.num_bands):
+                band_wires = [w for w in wires if band in plan.bands_touching(w, halo)]
+                keys = [(i, j) for i in plan.columns(band) for j in range(grid.rows)]
+                lower, upper, regions = analyze_windows(
+                    band_wires, grid, RULES, margin, keys
+                )
+                assert sorted(regions) == keys
+                assert regions == raster_fill_regions(
+                    band_wires, grid, RULES, margin, keys
+                )
+                for key in keys:
+                    assert lower[key] == full.lower[key], (n, band, key)
+                    assert upper[key] == full.upper[key], (n, band, key)
+                    assert regions[key] == full.fill_regions[key], (n, band, key)
 
 
 class TestFillRegionParity:
@@ -139,32 +177,30 @@ class TestFillRegionParity:
     def test_regions_canonical_identical(self, seed):
         layout, grid = random_layout(seed, odd=True)
         layer = layout.layer(1)
-        oracle = compute_fill_regions(layer, grid, RULES, window_margin=3)
-        got = raster_fill_regions(layer, grid, RULES, window_margin=3)
+        got = compute_fill_regions(layer, grid, RULES, window_margin=3)
         # Not just equal areas: the same canonical rect lists in the
         # same order, so candidate tiling downstream is identical.
-        assert oracle == got
+        assert got == oracle.compute_fill_regions(layer, grid, RULES, window_margin=3)
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_usable_area_identical(self, seed):
         layout, grid = random_layout(seed)
         layer = layout.layer(2)
-        oracle = compute_fill_regions(layer, grid, RULES)
-        got = raster_fill_regions(layer, grid, RULES)
-        for key in oracle:
-            assert usable_fill_area(oracle[key], RULES) == usable_fill_area(
-                got[key], RULES
+        expect = oracle.compute_fill_regions(layer, grid, RULES)
+        got = compute_fill_regions(layer, grid, RULES)
+        for key in expect:
+            assert usable_fill_area(got[key], RULES) == usable_fill_area(
+                expect[key], RULES
             )
 
     def test_margin_larger_than_window_empties_regions(self):
         layout, grid = random_layout(5, die=400)
         # 4x4 over 400 -> 100-dbu windows; a 60-dbu margin leaves
         # nothing (shrunk() underflows to None).
-        got = raster_fill_regions(layout.layer(1), grid, RULES, window_margin=60)
-        oracle = compute_fill_regions(
+        got = compute_fill_regions(layout.layer(1), grid, RULES, window_margin=60)
+        assert got == oracle.compute_fill_regions(
             layout.layer(1), grid, RULES, window_margin=60
         )
-        assert oracle == got
         assert all(v == [] for v in got.values())
 
 
@@ -175,20 +211,19 @@ class TestOverlayParity:
         layout, grid = random_layout(seed, odd=odd)
         numbers = layout.layer_numbers
         for lo, hi in zip(numbers, numbers[1:]):
-            rect = overlay_map(
-                layout.layer(lo), layout.layer(hi), grid, kernel="rect"
+            expect = oracle.overlay_map(layout.layer(lo), layout.layer(hi), grid)
+            got = overlay_map(layout.layer(lo), layout.layer(hi), grid)
+            assert np.array_equal(got, expect), (lo, hi)
+            assert np.array_equal(
+                raster_overlay_map(layout.layer(lo), layout.layer(hi), grid), expect
             )
-            ras = raster_overlay_map(layout.layer(lo), layout.layer(hi), grid)
-            assert np.array_equal(rect, ras), (lo, hi)
 
     def test_empty_side_zero(self):
         layout, grid = random_layout(7)
         top = max(layout.layer_numbers)
-        out = raster_overlay_map(layout.layer(top - 1), layout.layer(top), grid)
-        oracle = overlay_map(
-            layout.layer(top - 1), layout.layer(top), grid, kernel="rect"
-        )
-        assert np.array_equal(out, oracle)
+        got = overlay_map(layout.layer(top - 1), layout.layer(top), grid)
+        expect = oracle.overlay_map(layout.layer(top - 1), layout.layer(top), grid)
+        assert np.array_equal(got, expect)
 
 
 class TestRefreshParity:
@@ -196,31 +231,20 @@ class TestRefreshParity:
     def test_incremental_refresh_matches_fresh_analysis(self, seed):
         layout, grid = random_layout(seed, odd=True)
         margin = 5
-        cached = analyze_layout(
-            layout, grid, window_margin=margin, kernel="raster"
-        )
+        cached = analyze_layout(layout, grid, window_margin=margin)
         rng = random.Random(seed + 1)
         x = rng.randrange(0, layout.die.xh - 200)
         y = rng.randrange(0, layout.die.yh - 200)
         layout.layer(1).add_wire(Rect(x, y, x + 150, y + 40))
         dirty = sorted(grid.windows_touching(Rect(x, y, x + 150, y + 40).expanded(20)))
         refreshed = refresh_analysis(
-            layout,
-            grid,
-            cached,
-            dirty,
-            layers=[1],
-            window_margin=margin,
-            kernel="raster",
+            layout, grid, cached, dirty, layers=[1], window_margin=margin
         )
-        fresh = analyze_layout(
-            layout, grid, window_margin=margin, kernel="rect"
+        expect = oracle.refresh_analysis(
+            layout, grid, cached, dirty, layers=[1], window_margin=margin
         )
-        got = refreshed[1]
-        expect = fresh[1]
-        for i, j in dirty:
-            assert got.lower[i, j] == expect.lower[i, j]
-            assert got.upper[i, j] == expect.upper[i, j]
-            assert got.fill_regions[(i, j)] == expect.fill_regions[(i, j)]
+        fresh = oracle.analyze_layer(layout.layer(1), grid, RULES, margin)
+        assert_same_density(refreshed[1], expect[1])
+        assert_same_density(refreshed[1], fresh)
         # untouched layers carried over by identity
         assert refreshed[2] is cached[2]
