@@ -61,7 +61,7 @@ import numpy as np
 from .. import obs
 from ..contracts import check_density, check_drc_params, check_rect
 from ..density.analysis import LayerDensity, analyze_windows, window_area_map
-from ..density.raster import raster_fill_regions
+from ..density.raster import clipped_area_map, raster_fill_regions
 from ..density.scoring import ScoreWeights
 from ..gdsii import (
     DIE_LAYER,
@@ -110,6 +110,23 @@ _BYTES_PER_SHAPE = 512
 _BYTES_PER_BUFFERED_RECORD = 128
 
 _FORMATS = ("gdsii", "oasis")
+
+#: kept fills per block of the bucket pass's clipped-area accumulation
+_AREA_CHUNK = 4096
+
+
+def _accumulate_area(
+    area: Dict[int, np.ndarray], n: int, fills: List[Rect], grid: WindowGrid
+) -> None:
+    """Add the per-window clipped area of ``fills`` to layer ``n``'s map
+    and empty the list."""
+    if fills:
+        part = clipped_area_map(fills, grid)
+        if n in area:
+            area[n] += part
+        else:
+            area[n] = part
+        fills.clear()
 
 
 def _flush_records(memory_budget: Optional[int]) -> int:
@@ -415,9 +432,9 @@ def _stream_fill(
         )
         kept_spool = LayerSpool(workdir, "kept", flush_records=flush)
         kept_area: Dict[int, np.ndarray] = {}
-        kept_counts: Dict[int, int] = {n: 0 for n in numbers}
         kept_fills = 0
         removed_fills = 0
+        pending: List[Rect] = []
         for n in numbers:
             for rect in spool.read(n, WIRE_DATATYPE):
                 wires_spill.route(n, WIRE_DATATYPE, rect, halo)
@@ -439,12 +456,10 @@ def _stream_fill(
                     plan.band_of_x(rect.xl), n, FILL_DATATYPE, rect
                 )
                 kept_fills += 1
-                kept_counts[n] += 1
-                area = kept_area.setdefault(
-                    n, np.zeros((grid.cols, grid.rows), dtype=np.int64)
-                )
-                for i, j in grid.windows_touching(rect):
-                    area[i, j] += rect.intersection_area(grid.window(i, j))
+                pending.append(rect)
+                if len(pending) == _AREA_CHUNK:
+                    _accumulate_area(kept_area, n, pending, grid)
+            _accumulate_area(kept_area, n, pending, grid)
         wires_spill.finish()
         owned_spill.finish()
         kept_spool.finish()
@@ -581,7 +596,7 @@ def _stream_fill(
                 analysis,
                 cand_area,
                 {
-                    n: kept_area[n] / warea if kept_counts[n] else 0.0
+                    n: kept_area[n] / warea if n in kept_area else 0.0
                     for n in numbers
                 },
                 objective,
@@ -705,39 +720,31 @@ def _stream_fill(
             open(output, "wb") if own_stream else output  # type: ignore[arg-type]
         )
         try:
-            if output_format == "gdsii":
-                writer = GdsiiStreamWriter(stream)
-                writer.boundary(DIE_LAYER, WIRE_DATATYPE, die)
-                for n in numbers:
-                    if include_wires:
-                        for rect in spool.read(n, WIRE_DATATYPE):
-                            writer.boundary(n, WIRE_DATATYPE, rect)
-                    for rect in kept_spool.read(n, FILL_DATATYPE):
-                        writer.boundary(n, FILL_DATATYPE, rect)
-                    for band_spool in new_spools:
-                        for rect in band_spool.read(n, FILL_DATATYPE):
-                            writer.boundary(n, FILL_DATATYPE, rect)
-                bytes_written = writer.close()
-            else:
-                oasis_writer = OasisStreamWriter(stream)
-                oasis_writer.rectangle(DIE_LAYER, WIRE_DATATYPE, die)
-                for n in numbers:
-                    if include_wires:
-                        oasis_writer.rectangles(
-                            n, WIRE_DATATYPE, spool.read(n, WIRE_DATATYPE)
-                        )
-                    oasis_writer.rectangles(
-                        n,
-                        FILL_DATATYPE,
-                        chain(
-                            kept_spool.read(n, FILL_DATATYPE),
-                            *(
-                                band_spool.read(n, FILL_DATATYPE)
-                                for band_spool in new_spools
-                            ),
-                        ),
+            # Both writers take (layer, datatype) shape groups; the die
+            # outline is a group of one.
+            writer: Union[GdsiiStreamWriter, OasisStreamWriter] = (
+                GdsiiStreamWriter(stream)
+                if output_format == "gdsii"
+                else OasisStreamWriter(stream)
+            )
+            writer.rectangles(DIE_LAYER, WIRE_DATATYPE, [die])
+            for n in numbers:
+                if include_wires:
+                    writer.rectangles(
+                        n, WIRE_DATATYPE, spool.read(n, WIRE_DATATYPE)
                     )
-                bytes_written = oasis_writer.close()
+                writer.rectangles(
+                    n,
+                    FILL_DATATYPE,
+                    chain(
+                        kept_spool.read(n, FILL_DATATYPE),
+                        *(
+                            band_spool.read(n, FILL_DATATYPE)
+                            for band_spool in new_spools
+                        ),
+                    ),
+                )
+            bytes_written = writer.close()
         finally:
             if own_stream:
                 stream.close()

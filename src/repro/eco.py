@@ -28,7 +28,7 @@ globally.  Both paths produce bit-identical layouts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple, TypeVar
 
 from . import obs
 from .core import DummyFillEngine, FillConfig
@@ -46,16 +46,17 @@ __all__ = [
 ]
 
 WindowKey = Tuple[int, int]
+T = TypeVar("T")
 
 
 @dataclass
 class EcoReport:
     """Outcome of an incremental re-fill.
 
-    ``analysis`` and ``wire_indexes`` carry the refreshed session
-    caches when the caller supplied cached state — valid for the
-    post-ECO layout, ready to be stored back on the session.  They are
-    ``None`` on the cold (cache-free) path.
+    ``analysis``, ``wire_indexes`` and ``fill_indexes`` carry the
+    refreshed session caches when the caller supplied cached state —
+    valid for the post-ECO layout, ready to be stored back on the
+    session.  They are ``None`` on the cold (cache-free) path.
     """
 
     new_wires: int
@@ -65,6 +66,9 @@ class EcoReport:
     seconds: float
     analysis: Optional[Dict[int, LayerDensity]] = field(default=None, repr=False)
     wire_indexes: Optional[Dict[int, "GridIndex[int]"]] = field(
+        default=None, repr=False
+    )
+    fill_indexes: Optional[Dict[int, "GridIndex[None]"]] = field(
         default=None, repr=False
     )
 
@@ -97,22 +101,22 @@ def affected_windows(
     return affected
 
 
-def build_fill_indexes(layout: Layout) -> Dict[int, "GridIndex[int]"]:
+def build_fill_indexes(layout: Layout) -> Dict[int, "GridIndex[None]"]:
     """One spatial index per layer over its *fills*.
 
     The rip-up stage's counterpart to
     :func:`repro.core.candidates.build_wire_indexes`: lets
     :func:`apply_eco` find the fills touching the affected windows by
-    query instead of scanning every fill against every window.
-    Payloads are the fill's ordinal in ``layer.fills``, so order-
-    preserving removal needs no rect comparisons.
+    query instead of scanning every fill against every window.  The
+    fills are the keys (payloads are ``None``): the rip-up removes
+    them from the index and from the layer by value, so a session can
+    keep one index across any number of ECOs.
     """
     cell = max(64, min(layout.die.width, layout.die.height) // 16)
-    out: Dict[int, GridIndex[int]] = {}
+    out: Dict[int, GridIndex[None]] = {}
     for layer in layout.layers:
-        index: GridIndex[int] = GridIndex(cell)
-        for k, rect in enumerate(layer.fills):
-            index.insert(rect, k)
+        index: GridIndex[None] = GridIndex(cell)
+        index.extend((rect, None) for rect in layer.fills)
         out[layer.number] = index
     return out
 
@@ -152,11 +156,11 @@ def wires_from_json(data: Mapping[str, Any]) -> Dict[int, List[Rect]]:
 
 def _checked_indexes(
     layout: Layout,
-    indexes: Dict[int, "GridIndex[int]"],
+    indexes: Dict[int, "GridIndex[T]"],
     *,
     counts: Mapping[int, int],
     what: str,
-) -> Dict[int, "GridIndex[int]"]:
+) -> Dict[int, "GridIndex[T]"]:
     """Validate that cached per-layer indexes match the layout's shapes."""
     for number, expected in counts.items():
         index = indexes.get(number)
@@ -178,7 +182,7 @@ def apply_eco(
     *,
     analysis: Optional[Dict[int, LayerDensity]] = None,
     wire_indexes: Optional[Dict[int, "GridIndex[int]"]] = None,
-    fill_indexes: Optional[Dict[int, "GridIndex[int]"]] = None,
+    fill_indexes: Optional[Dict[int, "GridIndex[None]"]] = None,
 ) -> EcoReport:
     """Commit ``new_wires`` and incrementally repair the fill.
 
@@ -197,12 +201,14 @@ def apply_eco(
     * ``wire_indexes`` — cached per-layer wire indexes.  Extended *in
       place* with the new wires (matching a rebuild exactly, since
       wire commits append) and passed to candidate generation.
-    * ``fill_indexes`` — cached per-layer fill indexes for the rip-up
-      query; built fresh when omitted.  Always stale after this call
-      (fills change); rebuild via :func:`build_fill_indexes`.
+    * ``fill_indexes`` — cached per-layer fill indexes (see
+      :func:`build_fill_indexes`) for the rip-up query; built fresh
+      when omitted.  Updated *in place*: the ripped-up fills are
+      removed and the engine's new fills inserted, so it matches a
+      rebuild on the post-ECO layout.
 
-    The returned report carries the refreshed ``analysis`` and
-    ``wire_indexes`` when caches were supplied.
+    The returned report carries the refreshed ``analysis``,
+    ``wire_indexes`` and ``fill_indexes`` when caches were supplied.
     """
     with obs.span("eco.apply") as sp:
         if config is None:
@@ -216,12 +222,18 @@ def apply_eco(
                 counts={n: layout.layer(n).num_wires for n in changed_layers},
                 what="wire",
             )
+        # Validate every wire before committing any, so a rejected change
+        # leaves the layout and the cached indexes untouched.
+        for number in sorted(new_wires, key=int):
+            layout.layer(number)
+            for rect in new_wires[number]:
+                if not layout.die.contains(rect):
+                    raise ValueError(f"new wire {rect} escapes the die")
+                if rect.is_degenerate:
+                    raise ValueError(f"degenerate wire rectangle {rect}")
         num_new = 0
         for number in sorted(new_wires, key=int):
             rects = new_wires[number]
-            for rect in rects:
-                if not layout.die.contains(rect):
-                    raise ValueError(f"new wire {rect} escapes the die")
             layer = layout.layer(number)
             if wire_indexes is not None and rects:
                 index = wire_indexes[number]
@@ -237,13 +249,15 @@ def apply_eco(
 
         # Rip up every fill whose footprint touches an affected window —
         # located by index query, not an all-fills × all-windows scan.
+        # Equal fills share a footprint, hence a fate, so removing the
+        # doomed ones by value is exact.
         removed = 0
         if affected:
             with obs.span("eco.ripup"):
                 if fill_indexes is None:
-                    fill_indexes = build_fill_indexes(layout)
+                    indexes = build_fill_indexes(layout)
                 else:
-                    _checked_indexes(
+                    indexes = _checked_indexes(
                         layout,
                         fill_indexes,
                         counts={
@@ -254,20 +268,12 @@ def apply_eco(
                     )
                 affected_rects = [grid.window(i, j) for i, j in sorted(affected)]
                 for layer in layout.layers:
-                    index = fill_indexes[layer.number]
-                    doomed: Set[int] = set()
+                    index = indexes[layer.number]
+                    doomed: Set[Rect] = set()
                     for win in affected_rects:
-                        doomed.update(k for _, k in index.query(win))
-                    if not doomed:
-                        continue
-                    keep = [
-                        f
-                        for k, f in enumerate(layer.fills)
-                        if k not in doomed
-                    ]
-                    removed += len(doomed)
-                    layer.clear_fills()
-                    layer.add_fills(keep)
+                        doomed.update(r for r, _ in index.remove_touching(win))
+                    if doomed:
+                        removed += layer.filter_fills(lambda f: f not in doomed)
         sp.count("eco.removed_fills", removed)
 
         # Re-analyze only what the wires dirtied (with a cache), then
@@ -295,6 +301,13 @@ def apply_eco(
                 wire_indexes=wire_indexes,
             )
             new_fills = report.num_fills
+            if fill_indexes is not None:
+                # The engine appends: each layer's new fills follow the
+                # kept ones the index still holds.
+                for layer in layout.layers:
+                    index = fill_indexes[layer.number]
+                    added = layer.fills[len(index):]
+                    index.extend((r, None) for r in added)
     return EcoReport(
         new_wires=num_new,
         removed_fills=removed,
@@ -303,4 +316,5 @@ def apply_eco(
         seconds=sp.seconds,
         analysis=refreshed,
         wire_indexes=wire_indexes,
+        fill_indexes=fill_indexes,
     )

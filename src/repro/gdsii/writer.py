@@ -12,17 +12,24 @@ file-size score s_fs (Eqn. (3)); the paper's observation that
 since every fill costs one fixed-size BOUNDARY element.
 
 :class:`GdsiiStreamWriter` is the incremental form: header on
-construction, one :meth:`~GdsiiStreamWriter.boundary` call per shape,
-trailer on :meth:`~GdsiiStreamWriter.close` — nothing is buffered, so
-the out-of-core pipeline can append fills as bands complete while
-staying byte-identical to :func:`write_gdsii` for the same shape
-sequence.
+construction, shape groups through
+:meth:`~GdsiiStreamWriter.rectangles` (or single shapes through
+:meth:`~GdsiiStreamWriter.boundary`), trailer on
+:meth:`~GdsiiStreamWriter.close` — at most one bounded block of shapes
+is buffered, so the out-of-core pipeline can append fills as bands
+complete while staying byte-identical to :func:`write_gdsii` for the
+same shape sequence.  Every rectangle goes through the one vectorized
+encoder :func:`boundaries_bytes`.
 """
 
 from __future__ import annotations
 
 import io
-from typing import BinaryIO
+from itertools import islice
+from operator import attrgetter
+from typing import BinaryIO, Iterable, Sequence
+
+import numpy as np
 
 from ..geometry import Rect
 from ..layout import Layout
@@ -30,6 +37,7 @@ from .records import DataType, RecordType, encode_ascii, encode_int2, encode_int
 
 __all__ = [
     "GdsiiStreamWriter",
+    "boundaries_bytes",
     "write_gdsii",
     "gdsii_bytes",
     "WIRE_DATATYPE",
@@ -48,40 +56,85 @@ DIE_LAYER = 0
 _TIMESTAMP = (2014, 11, 1, 0, 0, 0)
 
 
-def _boundary_bytes(layer: int, datatype: int, rect: Rect) -> bytes:
-    # A rectangle boundary: 5 points, closed loop, counter-clockwise.
-    xy = [
-        rect.xl, rect.yl,
-        rect.xh, rect.yl,
-        rect.xh, rect.yh,
-        rect.xl, rect.yh,
-        rect.xl, rect.yl,
-    ]
-    return b"".join(
-        (
-            pack_record(RecordType.BOUNDARY, DataType.NO_DATA),
-            pack_record(RecordType.LAYER, DataType.INT2, encode_int2([layer])),
-            pack_record(
-                RecordType.DATATYPE, DataType.INT2, encode_int2([datatype])
-            ),
-            pack_record(RecordType.XY, DataType.INT4, encode_int4(xy)),
-            pack_record(RecordType.ENDEL, DataType.NO_DATA),
-        )
+#: One rectangle BOUNDARY element is a fixed 64-byte record sequence:
+#: BOUNDARY, LAYER + int2, DATATYPE + int2, XY + 10 x int4 (a closed
+#: counter-clockwise loop of 5 points), ENDEL.  The constant record
+#: headers are fields of the structured dtype, so a whole shape group
+#: encodes as one array and one ``tobytes()``.
+_BOUNDARY_DTYPE = np.dtype(
+    {
+        "names": ["boundary", "layer_head", "layer", "datatype_head",
+                  "datatype", "xy_head", "xy", "endel"],
+        "formats": [">u4", ">u4", ">i2", ">u4", ">i2", ">u4", (">i4", (10,)), ">u4"],
+        "offsets": [0, 4, 8, 10, 14, 16, 20, 60],
+        "itemsize": 64,
+    }
+)
+_HEADS = {
+    name: int.from_bytes(pack_record(rec, data, bytes(size))[:4], "big")
+    for name, rec, data, size in (
+        ("boundary", RecordType.BOUNDARY, DataType.NO_DATA, 0),
+        ("layer_head", RecordType.LAYER, DataType.INT2, 2),
+        ("datatype_head", RecordType.DATATYPE, DataType.INT2, 2),
+        ("xy_head", RecordType.XY, DataType.INT4, 40),
+        ("endel", RecordType.ENDEL, DataType.NO_DATA, 0),
     )
+}
+#: (xl, yl, xh, yh) columns -> the XY loop xl,yl xh,yl xh,yh xl,yh xl,yl
+_LOOP = [0, 1, 2, 1, 2, 3, 0, 3, 0, 1]
+_INT4_MIN, _INT4_MAX = -(2**31), 2**31 - 1
+_CORNERS = attrgetter("xl", "yl", "xh", "yh")
+
+#: rectangles per encoded block of :meth:`GdsiiStreamWriter.rectangles`
+CHUNK = 4096
 
 
-def _boundary(stream: BinaryIO, layer: int, datatype: int, rect: Rect) -> None:
-    stream.write(_boundary_bytes(layer, datatype, rect))
+def _coordinates(rects: Sequence[Rect]) -> np.ndarray:
+    """The rects' ``(xl, yl, xh, yh)`` rows as int64, int4-range checked.
+
+    NumPy casts wrap silently, so anything that is not an in-range
+    integer is handed to :func:`encode_int4`, which raises the
+    ``struct.error`` the per-record encoder always raised.
+    """
+    corners = list(map(_CORNERS, rects))
+    coords = np.array(corners)
+    if coords.dtype.kind not in "biu":  # floats, ints beyond int64
+        encode_int4([v for c in corners for v in c])
+        coords = np.array(corners, dtype=np.int64)
+    if coords.min() < _INT4_MIN or coords.max() > _INT4_MAX:
+        encode_int4([v for c in corners for v in c])
+    return coords
+
+
+def boundaries_bytes(layer: int, datatype: int, rects: Sequence[Rect]) -> bytes:
+    """One rectangle BOUNDARY element per rect, as one byte string.
+
+    Raises ``struct.error`` for a layer or datatype outside int2 or a
+    coordinate outside int4, as record encoding does; an empty group
+    encodes to nothing.
+    """
+    if not rects:
+        return b""
+    encode_int2([layer, datatype])
+    coords = _coordinates(rects)
+    out = np.empty(len(rects), dtype=_BOUNDARY_DTYPE)
+    for name, head in _HEADS.items():
+        out[name] = head
+    out["layer"] = layer
+    out["datatype"] = datatype
+    out["xy"] = coords[:, _LOOP]
+    return out.tobytes()
 
 
 class GdsiiStreamWriter:
     """Incremental GDSII emitter.
 
     Writes the library/structure header on construction, then one
-    BOUNDARY element per :meth:`boundary` call, and the
-    ENDSTR/ENDLIB trailer on :meth:`close`.  Emitting the same shapes
-    in the same order as :func:`write_gdsii` produces the same bytes
-    — the writer holds no state beyond the running byte count.
+    BOUNDARY element per rectangle handed to :meth:`rectangles` or
+    :meth:`boundary`, and the ENDSTR/ENDLIB trailer on :meth:`close`.
+    Emitting the same shapes in the same order as :func:`write_gdsii`
+    produces the same bytes — the writer holds no state beyond the
+    running byte count.
     """
 
     def __init__(
@@ -136,10 +189,22 @@ class GdsiiStreamWriter:
         return self._bytes_written
 
     def boundary(self, layer: int, datatype: int, rect: Rect) -> None:
-        """Emit one rectangle BOUNDARY element."""
+        """Emit one rectangle BOUNDARY element (e.g. the die outline)."""
+        self.rectangles(layer, datatype, (rect,))
+
+    def rectangles(
+        self, layer: int, datatype: int, rects: Iterable[Rect]
+    ) -> None:
+        """Emit one BOUNDARY element per rect, in iteration order.
+
+        The rects are encoded :data:`CHUNK` at a time, so an iterable
+        streamed off disk is never held in full.
+        """
         if self._closed:
             raise ValueError("writer is closed")
-        self._write(_boundary_bytes(layer, datatype, rect))
+        it = iter(rects)
+        while chunk := list(islice(it, CHUNK)):
+            self._write(boundaries_bytes(layer, datatype, chunk))
 
     def close(self) -> int:
         """Write the ENDSTR/ENDLIB trailer; returns total bytes written."""
@@ -181,10 +246,8 @@ def write_gdsii(
     writer.boundary(DIE_LAYER, WIRE_DATATYPE, layout.die)
     for layer in layout.layers:
         if include_wires:
-            for wire in layer.wires:
-                writer.boundary(layer.number, WIRE_DATATYPE, wire)
-        for fill in layer.fills:
-            writer.boundary(layer.number, FILL_DATATYPE, fill)
+            writer.rectangles(layer.number, WIRE_DATATYPE, layer.wires)
+        writer.rectangles(layer.number, FILL_DATATYPE, layer.fills)
     return writer.close()
 
 

@@ -10,7 +10,7 @@ the index is rebuilt per window anyway.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, Generic, Iterable, Iterator, List, Tuple, TypeVar
+from typing import Dict, Generic, Iterable, Iterator, List, Set, Tuple, TypeVar
 
 from .rect import Rect
 
@@ -24,7 +24,9 @@ class GridIndex(Generic[T]):
 
     Items are arbitrary payloads stored alongside their bounding
     rectangle.  Query results are deduplicated and order-stable (items
-    come back in insertion order).
+    come back in insertion order).  :meth:`remove_touching` takes items
+    out again, so an index can follow a changing shape set — a session's
+    fills across ECO rip-ups — instead of being rebuilt.
     """
 
     def __init__(self, cell_size: int):
@@ -33,13 +35,16 @@ class GridIndex(Generic[T]):
         self._cell = cell_size
         self._buckets: Dict[Tuple[int, int], List[int]] = defaultdict(list)
         self._items: List[Tuple[Rect, T]] = []
+        # indices of removed items; their slots stay so indices are stable
+        self._removed: Set[int] = set()
 
     @property
     def cell_size(self) -> int:
         return self._cell
 
     def __len__(self) -> int:
-        return len(self._items)
+        """Number of items currently stored (removed items excluded)."""
+        return len(self._items) - len(self._removed)
 
     def _cells(self, rect: Rect) -> Iterator[Tuple[int, int]]:
         cx0 = rect.xl // self._cell
@@ -62,12 +67,8 @@ class GridIndex(Generic[T]):
         for rect, item in pairs:
             self.insert(rect, item)
 
-    def query(self, region: Rect) -> List[Tuple[Rect, T]]:
-        """All items whose rectangle *touches* ``region`` (closed boxes).
-
-        Results come back in insertion order, which keeps downstream
-        candidate selection deterministic.
-        """
+    def _touching(self, region: Rect) -> List[int]:
+        """Indices of the items touching ``region``, ascending."""
         seen = set()
         hit_ids: List[int] = []
         for cell in self._cells(region):
@@ -78,7 +79,36 @@ class GridIndex(Generic[T]):
                 if self._items[idx][0].touches(region):
                     hit_ids.append(idx)
         hit_ids.sort()
-        return [self._items[idx] for idx in hit_ids]
+        return hit_ids
+
+    def query(self, region: Rect) -> List[Tuple[Rect, T]]:
+        """All items whose rectangle *touches* ``region`` (closed boxes).
+
+        Results come back in insertion order, which keeps downstream
+        candidate selection deterministic.
+        """
+        return [self._items[idx] for idx in self._touching(region)]
+
+    def remove_touching(self, region: Rect) -> List[Tuple[Rect, T]]:
+        """Remove and return every item :meth:`query` would return."""
+        out: List[Tuple[Rect, T]] = []
+        for idx in self._touching(region):
+            entry = self._items[idx]
+            for cell in self._cells(entry[0]):
+                bucket = self._buckets[cell]
+                bucket.remove(idx)
+                if not bucket:
+                    del self._buckets[cell]
+            self._removed.add(idx)
+            out.append(entry)
+        if 2 * len(self._removed) > len(self._items):
+            # Reinsert the live items so removed slots cannot pile up
+            # over a long session; insertion order is preserved.
+            live = self.items()
+            self._items, self._removed = [], set()
+            self._buckets = defaultdict(list)
+            self.extend(live)
+        return out
 
     def query_overlapping(self, region: Rect) -> List[Tuple[Rect, T]]:
         """All items with positive-area overlap with ``region``."""
@@ -96,4 +126,5 @@ class GridIndex(Generic[T]):
 
     def items(self) -> List[Tuple[Rect, T]]:
         """All stored (rect, item) pairs in insertion order."""
-        return list(self._items)
+        removed = self._removed
+        return [e for k, e in enumerate(self._items) if k not in removed]

@@ -101,6 +101,15 @@ class Layer:
         self._wires = [w for w in self._wires if predicate(w)]
         return before - len(self._wires)
 
+    def filter_fills(self, predicate: Callable[[Rect], bool]) -> int:
+        """Keep only fills where ``predicate(rect)`` is true, in order.
+
+        Returns the number of fills removed.  Used by the ECO rip-up.
+        """
+        before = len(self._fills)
+        self._fills = [f for f in self._fills if predicate(f)]
+        return before - len(self._fills)
+
     # ------------------------------------------------------------------
     def wire_region(self) -> RectSet:
         """Canonical covered region of the wires."""

@@ -7,7 +7,10 @@ folds it into a :class:`ProfileCollector` — the classic
 Each sample is prefixed with the target thread's *open span names*
 (read off the tracer's per-thread stack), so the resulting flamegraph
 groups CPU time under the engine stages the span tree records:
-``engine.run;sizing;repro.core.sizing.size_fills;... 42``.
+``engine.run;sizing;repro.core.sizing.size_fills;... 42``.  A sample
+taken inside one of the entry points of :data:`_ROOT_FRAMES` while no
+span is open is only counted (``unattributed_samples``), so every
+folded stack of a command, shard or request starts at a span.
 
 Sampling is cooperative and read-only: no signals (``setitimer``
 would collide with the shard workers and only fires on the main
@@ -39,7 +42,7 @@ import threading
 from contextlib import contextmanager
 from contextvars import ContextVar
 from types import FrameType
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from .spans import Tracer, active_tracer
 
@@ -68,6 +71,10 @@ class ProfileCollector:
         self.period_ms = float(period_ms)
         self.max_frames = max_frames
         self.samples = 0
+        #: samples taken inside a span-structured entry point while no
+        #: span was open (e.g. between two CLI stages); counted, not
+        #: folded, so every folded stack starts at a recorded span
+        self.unattributed_samples = 0
         self._folded: Dict[str, int] = {}
         self._lock = threading.Lock()
 
@@ -76,6 +83,11 @@ class ProfileCollector:
         with self._lock:
             self.samples += 1
             self._folded[key] = self._folded.get(key, 0) + 1
+
+    def add_unattributed(self) -> None:
+        """Record one sample that no open span covers."""
+        with self._lock:
+            self.unattributed_samples += 1
 
     def merge_folded(
         self, counts: Dict[str, int], prefix: Optional[str] = None
@@ -123,6 +135,7 @@ class ProfileCollector:
             return {
                 "period_ms": self.period_ms,
                 "samples": self.samples,
+                "unattributed_samples": self.unattributed_samples,
                 "folded": dict(sorted(self._folded.items())),
             }
 
@@ -141,21 +154,26 @@ _ROOT_FRAMES = frozenset(
 )
 
 
-def _frame_names(frame: Optional[FrameType], max_frames: int) -> List[str]:
-    """``module.function`` names outermost→innermost, innermost kept."""
+def _frame_names(
+    frame: Optional[FrameType], max_frames: int
+) -> Tuple[List[str], bool]:
+    """``module.function`` names outermost→innermost, innermost kept,
+    and whether the walk stopped at one of :data:`_ROOT_FRAMES`."""
     names: List[str] = []
+    rooted = False
     f = frame
     while f is not None:
         module = f.f_globals.get("__name__", "?")
         name = f"{module}.{f.f_code.co_name}"
         names.append(name)
         if name in _ROOT_FRAMES:
+            rooted = True
             break
         f = f.f_back
     names.reverse()
     if len(names) > max_frames:
         names = names[-max_frames:]
-    return names
+    return names, rooted
 
 
 class SamplingProfiler:
@@ -187,7 +205,13 @@ class SamplingProfiler:
         if frame is None:
             return
         parts = self._tracer.stack_names(self._target)
-        parts.extend(_frame_names(frame, self.collector.max_frames))
+        names, rooted = _frame_names(frame, self.collector.max_frames)
+        if not parts and rooted:
+            # Inside a repro entry point but outside its spans: folding
+            # it would root a stack at a module frame, not a span.
+            self.collector.add_unattributed()
+            return
+        parts.extend(names)
         if parts:
             self.collector.add(";".join(parts))
 
@@ -246,6 +270,7 @@ def publish(collector: ProfileCollector, tracer: Optional[Tracer] = None) -> Non
         for key, n in payload["folded"].items():
             folded[key] = folded.get(key, 0) + n
         existing["samples"] += payload["samples"]
+        existing["unattributed_samples"] += payload["unattributed_samples"]
 
 
 @contextmanager

@@ -451,6 +451,7 @@ class FillService:
         violations = work.check_drc()
         data = gdsii_bytes(work)
         session.layout = work
+        session.fill_indexes = None
         session.last_report = report
         return {
             "gds": data,
@@ -487,6 +488,8 @@ class FillService:
         if not wires:
             raise ValueError("eco_delta needs a non-empty 'wires' mapping")
         session.ensure_caches()
+        if session.fill_indexes is None:
+            session.fill_indexes = build_fill_indexes(session.layout)
         report = apply_eco(
             session.layout,
             session.grid,
@@ -494,7 +497,7 @@ class FillService:
             session.config,
             analysis=session.analysis,
             wire_indexes=session.wire_indexes,
-            fill_indexes=build_fill_indexes(session.layout),
+            fill_indexes=session.fill_indexes,
         )
         if report.analysis is not None:
             session.analysis = report.analysis

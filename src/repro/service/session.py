@@ -3,11 +3,14 @@
 A :class:`FillSession` is the unit of state the service keeps between
 requests: the layout, its window grid and fill config, and the derived
 caches the one-shot CLI rebuilds on every invocation — the per-layer
-wire :class:`~repro.geometry.GridIndex` and the global density
-analysis.  Both caches depend only on the session's *wires* (analysis
-bounds and fill regions never read fills), so they survive any number
-of ``fill``/``score``/``drc_audit`` requests and are refreshed
-incrementally — never recomputed — by ``eco_delta``.
+wire :class:`~repro.geometry.GridIndex`, the global density analysis
+and the per-layer fill index.  The first two depend only on the
+session's *wires* (analysis bounds and fill regions never read fills),
+so they survive any number of ``fill``/``score``/``drc_audit``
+requests and are refreshed incrementally — never recomputed — by
+``eco_delta``.  The fill index follows the fills: a ``fill`` request
+drops it, the next ``eco_delta`` builds it, and every ``eco_delta``
+updates it in place.
 
 Concurrency model: requests against one session execute in submission
 order, enforced by *tickets*.  The job queue issues each session-bound
@@ -60,8 +63,9 @@ class FillSession:
     """One loaded layout plus everything derived from it.
 
     Mutable state (``layout``, ``analysis``, ``wire_indexes``,
-    ``last_report``) must only be touched inside :meth:`ordered` —
-    the ticket protocol makes that section exclusive per session.
+    ``fill_indexes``, ``last_report``) must only be touched inside
+    :meth:`ordered` — the ticket protocol makes that section exclusive
+    per session.
     """
 
     def __init__(
@@ -77,6 +81,7 @@ class FillSession:
         self.config = config
         self.analysis: Optional[Dict[int, LayerDensity]] = None
         self.wire_indexes: Optional[Dict[int, GridIndex[int]]] = None
+        self.fill_indexes: Optional[Dict[int, GridIndex[None]]] = None
         self.last_report: Optional[FillReport] = None
         self.requests_served = 0
         self._cond = threading.Condition()

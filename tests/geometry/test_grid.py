@@ -105,3 +105,52 @@ class TestPropertyBased:
         grown = probe.expanded(margin)
         expected = [(r, k) for k, r in enumerate(rects) if r.touches(grown)]
         assert idx.query_within(probe, margin) == expected
+
+    @given(
+        st.lists(small_rects, max_size=20),
+        st.lists(small_rects, max_size=4),
+        st.lists(small_rects, max_size=6),
+        small_rects,
+    )
+    def test_removal_matches_rebuild(self, rects, cuts, added, probe):
+        idx = GridIndex(8)
+        for k, r in enumerate(rects):
+            idx.insert(r, k)
+        live = list(enumerate(rects))
+        for cut in cuts:
+            gone = idx.remove_touching(cut)
+            assert gone == [(r, k) for k, r in live if r.touches(cut)]
+            live = [(k, r) for k, r in live if not r.touches(cut)]
+        for k, r in enumerate(added, start=len(rects)):
+            idx.insert(r, k)
+            live.append((k, r))
+        rebuilt = GridIndex(8)
+        rebuilt.extend((r, k) for k, r in live)
+        assert len(idx) == len(rebuilt) == len(live)
+        assert idx.items() == rebuilt.items()
+        assert idx.query(probe) == rebuilt.query(probe)
+
+
+class TestRemoval:
+    def test_remove_touching_returns_and_forgets(self):
+        idx = GridIndex(16)
+        idx.insert(Rect(0, 0, 5, 5), "a")
+        idx.insert(Rect(40, 40, 45, 45), "b")
+        assert idx.remove_touching(Rect(5, 5, 6, 6)) == [(Rect(0, 0, 5, 5), "a")]
+        assert len(idx) == 1
+        assert idx.query(Rect(0, 0, 100, 100)) == [(Rect(40, 40, 45, 45), "b")]
+        assert idx.remove_touching(Rect(0, 0, 5, 5)) == []
+
+    def test_many_removals_keep_order(self):
+        # enough removals to trigger the reinsertion of live items
+        idx = GridIndex(4)
+        for k in range(50):
+            idx.insert(Rect(k * 10, 0, k * 10 + 5, 5), k)
+        for k in range(0, 50, 3):
+            idx.remove_touching(Rect(k * 10 + 1, 1, k * 10 + 2, 2))
+        for k in range(50, 55):
+            idx.insert(Rect(k * 10, 0, k * 10 + 5, 5), k)
+        kept = [k for k in range(55) if k >= 50 or k % 3]
+        assert [k for _, k in idx.items()] == kept
+        assert [k for _, k in idx.query(Rect(0, 0, 1000, 10))] == kept
+        assert len(idx) == len(kept)

@@ -77,6 +77,16 @@ class TestLayer:
         assert removed == 1
         assert layer.num_wires == 1
 
+    def test_filter_fills_keeps_order(self):
+        layer = Layer(1)
+        fills = [Rect(k * 10, 0, k * 10 + 5, 5) for k in range(5)]
+        layer.add_fills(fills)
+        layer.add_wire(Rect(0, 20, 5, 25))
+        removed = layer.filter_fills(lambda f: f.xl != 20)
+        assert removed == 1
+        assert layer.fills == fills[:2] + fills[3:]
+        assert layer.num_wires == 1
+
 
 class TestLayout:
     def make(self):

@@ -126,6 +126,51 @@ class TestSamplingProfiler:
         keys = list(collector.folded_snapshot())
         assert keys and all(k.startswith("engine.run;sizing;") for k in keys)
 
+    def test_sample_outside_spans_of_an_entry_point_is_unattributed(
+        self, monkeypatch
+    ):
+        """A sample inside an entry point with an empty span stack (a CLI
+        command between two stages) is counted, never folded."""
+        import repro.obs.profile as profile_mod
+
+        entered, stop = threading.Event(), threading.Event()
+
+        def entry_point():
+            entered.set()
+            stop.wait(5)
+
+        monkeypatch.setattr(
+            profile_mod,
+            "_ROOT_FRAMES",
+            frozenset({f"{__name__}.{entry_point.__name__}"}),
+        )
+        t = threading.Thread(target=entry_point, daemon=True)
+        t.start()
+        entered.wait(5)
+        collector = ProfileCollector(period_ms=50.0)
+        profiler = SamplingProfiler(
+            collector, tracer=Tracer(), target_ident=t.ident
+        )
+        try:
+            profiler._sample_once()
+            profiler._sample_once()
+        finally:
+            stop.set()
+            t.join(5)
+        assert collector.samples == 0
+        assert collector.folded_snapshot() == {}
+        assert collector.unattributed_samples == 2
+        assert collector.as_dict()["unattributed_samples"] == 2
+
+    def test_publish_sums_unattributed_samples(self):
+        tracer = Tracer()
+        for _ in range(2):
+            c = ProfileCollector(period_ms=5.0)
+            c.add_unattributed()
+            publish(c, tracer=tracer)
+        assert tracer.profile["unattributed_samples"] == 2
+        assert tracer.profile["samples"] == 0
+
     def test_double_start_rejected(self):
         profiler = SamplingProfiler(ProfileCollector(period_ms=50.0))
         profiler.start()

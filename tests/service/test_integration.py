@@ -7,11 +7,13 @@ re-process only the windows its wire change dirtied (asserted via the
 per-request span counters in a run record).
 """
 
+import random
+
 import pytest
 
 from repro import obs
 from repro.core import DummyFillEngine, FillConfig
-from repro.eco import apply_eco
+from repro.eco import apply_eco, build_fill_indexes, wires_from_json
 from repro.gdsii import gdsii_bytes, layout_from_gdsii
 from repro.geometry import Rect
 from repro.layout import WindowGrid
@@ -152,3 +154,57 @@ def test_eco_delta_reprocesses_only_dirtied_windows(gds_bytes):
         if s["name"] == "analysis" and s.get("attrs", {}).get("reused")
     ]
     assert analysis_spans, "fill did not reuse the session's cached analysis"
+
+
+def _eco_stream(count, seed=5):
+    """``count`` seeded wire changes (one or two layers each) in the die."""
+    rng = random.Random(seed)
+    stream = []
+    for _ in range(count):
+        change = {}
+        for layer in rng.sample([1, 2], rng.choice([1, 2])):
+            x, y = rng.randrange(0, 1100), rng.randrange(0, 1150)
+            change[str(layer)] = [[x, y, x + rng.randrange(20, 100), y + 30]]
+        stream.append(change)
+    return stream
+
+
+def test_chained_eco_deltas_match_cold_runs_and_keep_the_fill_index(gds_bytes):
+    """Every request of a chain on one session equals the cold one-shot
+    ``apply_eco`` of the same change, byte for byte, and the session's
+    fill index, kept in place across the chain, answers every query as
+    a fresh build over the post-request layout does."""
+    stream = _eco_stream(6)
+    config = FillConfig.from_mapping(CONFIG_MAPPING)
+    cold = layout_from_gdsii(gds_bytes, RULES)
+    grid = WindowGrid(cold.die, 4, 4)
+    DummyFillEngine(config).run(cold, grid)
+
+    with FillService(workers=1) as svc:
+        client = ServiceClient(svc)
+        sid = client.request(
+            "open_session",
+            gds=gds_bytes,
+            windows=4,
+            rules=RULES_MAPPING,
+            config=CONFIG_MAPPING,
+        )["session"]
+        client.request("fill", session=sid)
+        session = svc.store.get(sid)
+        kept = None
+        for change in stream:
+            result = client.request("eco_delta", session=sid, wires=change)
+            apply_eco(cold, grid, wires_from_json(change), config)
+            assert result["gds"] == gdsii_bytes(cold)
+
+            indexes = session.fill_indexes
+            assert kept is None or indexes is kept  # updated, not rebuilt
+            kept = indexes
+            fresh = build_fill_indexes(session.layout)
+            probes = [grid.window(i, j) for i, j, _ in grid]
+            probes += [Rect(x, x, x + 150, x + 90) for x in range(0, 1100, 70)]
+            for number, index in indexes.items():
+                assert len(index) == len(fresh[number])
+                assert index.items() == fresh[number].items()
+                for probe in probes:
+                    assert index.query(probe) == fresh[number].query(probe)

@@ -52,6 +52,18 @@ class TestApplyEco:
         apply_eco(layout, grid, {1: [Rect(50, 50, 250, 90)]})
         assert layout.layer(1).num_wires == before + 1
 
+    @pytest.mark.parametrize(
+        "bad", [Rect(1150, 10, 1300, 40), Rect(300, 300, 300, 340)]
+    )
+    def test_rejected_change_commits_nothing(self, bad):
+        from repro.gdsii import gdsii_bytes
+
+        layout, grid = filled_layout()
+        before = gdsii_bytes(layout)
+        with pytest.raises(ValueError):
+            apply_eco(layout, grid, {1: [Rect(50, 50, 250, 90)], 2: [bad]})
+        assert gdsii_bytes(layout) == before
+
     def test_result_is_drc_clean(self):
         layout, grid = filled_layout()
         apply_eco(layout, grid, {1: [Rect(50, 50, 250, 90)]})
@@ -218,7 +230,7 @@ class TestCachedEco:
             config,
             analysis=first.analysis,
             wire_indexes=first.wire_indexes,
-            fill_indexes=build_fill_indexes(cached),
+            fill_indexes=first.fill_indexes,
         )
         assert gdsii_bytes(cached) == gdsii_bytes(cold)
 
@@ -238,6 +250,23 @@ class TestCachedEco:
         layout.layer(1).add_wire(Rect(400, 400, 480, 430))  # index not told
         with pytest.raises(ValueError, match="stale wire index"):
             apply_eco(layout, grid, self.WIRE, config, wire_indexes=wire_indexes)
+
+    def test_fill_index_updated_in_place(self):
+        from repro.eco import build_fill_indexes
+
+        config = FillConfig()
+        layout, grid = filled_layout()
+        fill_indexes = build_fill_indexes(layout)
+        report = apply_eco(layout, grid, self.WIRE, config, fill_indexes=fill_indexes)
+        assert report.removed_fills > 0 and report.new_fills > 0
+        assert report.fill_indexes is fill_indexes
+        fresh = build_fill_indexes(layout)
+        for number, index in fill_indexes.items():
+            assert index.items() == fresh[number].items()
+
+    def test_cold_path_reports_no_fill_index(self):
+        layout, grid = filled_layout()
+        assert apply_eco(layout, grid, self.WIRE).fill_indexes is None
 
     def test_stale_fill_index_rejected(self):
         from repro.eco import build_fill_indexes
